@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "marking/factory.hpp"
 
@@ -20,6 +21,8 @@ ClusterNetwork::ClusterNetwork(const ClusterConfig& config)
   if (scheme_ != nullptr) scheme_->bind_telemetry(&registry_);
   switch_env_.sim = &sim_;
   switch_env_.topo = topo_.get();
+  switch_env_.table = &topo_->link_table();
+  switch_env_.packets = &packets_;
   switch_env_.router = router_.get();
   switch_env_.scheme = scheme_.get();
   switch_env_.links = &link_state_;
@@ -27,10 +30,6 @@ ClusterNetwork::ClusterNetwork(const ClusterConfig& config)
   switch_env_.registry = &registry_;
   switch_env_.deliver = [this](pkt::Packet&& p, topo::NodeId at) {
     deliver_local(std::move(p), at);
-  };
-  switch_env_.arrive = [this](pkt::Packet&& p, topo::NodeId from,
-                              topo::NodeId to) {
-    switches_[to].handle(std::move(p), *topo_->port_to(to, from));
   };
   switch_env_.link_bandwidth = config.link_bandwidth;
   switch_env_.link_latency = config.link_latency;
@@ -63,6 +62,12 @@ ClusterNetwork::ClusterNetwork(const ClusterConfig& config)
   // does not reallocate it.
   const auto nodes = std::size_t(topo_->num_nodes());
   sim_.reserve(nodes * (2 * std::size_t(topo_->num_ports()) + 4));
+  // Full output queues everywhere bound the live packets (up to the few on
+  // the wires). Reserving that up front keeps the slab from reallocating:
+  // pages are touched only as packets first occupy them, and the warm-up
+  // never holds an old and a new copy of the slab at once.
+  packets_.reserve(nodes * std::size_t(topo_->num_ports()) *
+                   config.queue_capacity);
 
   // Stream hierarchy: seed -> long_jump per replication -> jump per entity.
   // Every entity draws from its own 2^128-draw block; see ClusterConfig.
@@ -74,6 +79,7 @@ ClusterNetwork::ClusterNetwork(const ClusterConfig& config)
     switches_.emplace_back(id, &switch_env_, master.jump_stream());
     nodes_.emplace_back(id, &node_env_, master.jump_stream());
   }
+  switch_env_.switches = switches_.data();
 }
 
 void ClusterNetwork::set_attack(attack::AttackConfig attack) {
@@ -91,6 +97,18 @@ void ClusterNetwork::start() {
 }
 
 bool ClusterNetwork::inject(pkt::Packet&& packet, topo::NodeId at) {
+  // The switch fabric reads flat tables without bounds checks: reject
+  // foreign node ids here, at the boundary.
+  const topo::LinkTable& table = topo_->link_table();
+  if (!table.contains(at)) {
+    throw std::out_of_range("ClusterNetwork::inject: injecting node " +
+                            std::to_string(at) + " outside " + topo_->spec());
+  }
+  if (!table.contains(packet.dest_node)) {
+    throw std::out_of_range("ClusterNetwork::inject: destination node " +
+                            std::to_string(packet.dest_node) + " outside " +
+                            topo_->spec());
+  }
   if (filter_.blocks_injection(at)) {
     ++metrics_.blocked_at_source;
     return false;

@@ -89,7 +89,8 @@ class ClusterNetwork {
   void run_until(netsim::SimTime t) { sim_.run(t); }
 
   /// Manual injection at a node's switch (tests, replay). Returns false if
-  /// the source is blocked.
+  /// the source is blocked. Throws std::out_of_range if `at` or
+  /// `packet.dest_node` is not a node of this topology.
   bool inject(pkt::Packet&& packet, topo::NodeId at);
 
   const topo::Topology& topology() const noexcept { return *topo_; }
@@ -123,10 +124,13 @@ class ClusterNetwork {
   /// Live congestion view: output-queue occupancy + failure set.
   class QueueLinkState final : public route::LinkStateView {
    public:
-    explicit QueueLinkState(const ClusterNetwork& net) : net_(net) {}
+    explicit QueueLinkState(const ClusterNetwork& net)
+        : net_(net), table_(net.topo_->link_table()) {}
     bool link_usable(topo::NodeId node, topo::Port port) const override {
-      const auto next = net_.topo_->neighbor(node, port);
-      return next && !net_.failures_.is_failed(node, *next);
+      const topo::NodeId next = table_.next_node(node, port);
+      if (next == topo::kInvalidNode) return false;
+      // Most runs fail no link: skip the hash lookup entirely.
+      return net_.failures_.empty() || !net_.failures_.is_failed(node, next);
     }
     double congestion(topo::NodeId node, topo::Port port) const override {
       return double(net_.switches_[node].queue_length(port));
@@ -134,6 +138,7 @@ class ClusterNetwork {
 
    private:
     const ClusterNetwork& net_;
+    const topo::LinkTable& table_;
   };
 
   void deliver_local(pkt::Packet&& packet, topo::NodeId at);
@@ -155,6 +160,8 @@ class ClusterNetwork {
   QueueLinkState link_state_;
   /// One label set shared by every switch through Env::port_labels.
   std::vector<std::string> port_labels_;
+  /// Every packet inside the switch fabric, addressed by handle.
+  PacketSlab packets_;
   Switch::Env switch_env_;
   ComputeNode::Env node_env_;
   std::vector<Switch> switches_;

@@ -50,42 +50,48 @@ Switch::Switch(NodeId id, Env* env, netsim::Rng rng)
 
 void Switch::inject(pkt::Packet&& packet) {
   if (env_->scheme != nullptr) env_->scheme->on_injection(packet, id_);
-  handle(std::move(packet), route::kLocalPort);
+  handle(env_->packets->acquire(std::move(packet)), route::kLocalPort);
 }
 
-DDPM_HOT void Switch::handle(pkt::Packet&& packet, Port arrived_on) {
+DDPM_HOT void Switch::handle(PacketHandle h, Port arrived_on) {
+  pkt::Packet& packet = (*env_->packets)[h];
   if (packet.dest_node == id_) {
     packet.delivered_at = env_->sim->now();
     probes_.on_local_delivery();
-    env_->deliver(std::move(packet), id_);
+    // Free the slot before the callback: a delivery hook that injects may
+    // grow the slab, which would invalidate a reference into it.
+    env_->deliver(env_->packets->take(h), id_);
     return;
   }
   const auto port = env_->router->select_output(id_, packet.dest_node,
                                                 arrived_on, *env_->links, rng_);
   if (!port) {
+    env_->packets->release(h);
     ++env_->metrics->dropped_no_route;
     probes_.on_drop_no_route(env_->tracer, id_);
     return;
   }
   if (packet.header.decrement_ttl() == 0) {
+    env_->packets->release(h);
     ++env_->metrics->dropped_ttl;
     probes_.on_drop_ttl(env_->tracer, id_);
     return;
   }
   OutputPort& out = ports_[std::size_t(*port)];
   if (out.queue.size() >= env_->queue_capacity) {
+    env_->packets->release(h);
     ++env_->metrics->dropped_queue_full;
     probes_.on_drop_queue_full(env_->tracer, id_);
     return;
   }
-  const NodeId next = *env_->topo->neighbor(id_, *port);
+  const NodeId next = env_->table->next_node(id_, *port);
   if (env_->scheme != nullptr) {
     env_->scheme->on_forward(packet, id_, next);
     probes_.on_mark_hook();
   }
   ++packet.hops;
   if (!packet.trace.empty()) packet.trace.push_back(next);
-  out.queue.push_back(std::move(packet));
+  out.queue.push_back(PacketHandle(h));
   probes_.on_forward(out.queue.size());
   start_transmission(*port);
 }
@@ -94,36 +100,34 @@ DDPM_HOT void Switch::start_transmission(Port port) {
   OutputPort& out = ports_[std::size_t(port)];
   if (out.busy || out.queue.empty()) return;
   out.busy = true;
-  pkt::Packet packet = std::move(out.queue.front());
+  const PacketHandle h = out.queue.front();
   out.queue.pop_front();
+  const std::uint32_t wire_bytes = (*env_->packets)[h].wire_bytes();
   const auto tx_ticks = netsim::SimTime(
       // Floating-point divide (bandwidth scaling), not an integer one;
       // the textual frontend cannot type-check the operands.
-      std::ceil(double(packet.wire_bytes()) / env_->link_bandwidth));  // ddpm-analyze: allow(hot-no-div)
-  const NodeId next = *env_->topo->neighbor(id_, port);
+      std::ceil(double(wire_bytes) / env_->link_bandwidth));  // ddpm-analyze: allow(hot-no-div)
   // The span covers serialization + propagation; both durations are known
   // at schedule time, so one complete event suffices (no open/close pair).
-  probes_.on_tx(env_->tracer, id_, std::size_t(port), packet.wire_bytes(),
-                tx_ticks, env_->sim->now(),
+  probes_.on_tx(env_->tracer, id_, std::size_t(port), wire_bytes, tx_ticks,
+                env_->sim->now(),
                 env_->sim->now() + tx_ticks + env_->link_latency);
   // Link frees up after serialization; the packet lands after propagation.
   env_->sim->schedule_in(tx_ticks, [this, port]() {
     ports_[std::size_t(port)].busy = false;
     start_transmission(port);
   });
-  out.in_flight.push_back(std::move(packet));
+  out.in_flight.push_back(PacketHandle(h));
   env_->sim->schedule_in(tx_ticks + env_->link_latency,
-                         [this, port, next]() {
-                           OutputPort& p = ports_[std::size_t(port)];
-                           pkt::Packet landed = std::move(p.in_flight.front());
-                           p.in_flight.pop_front();
-                           env_->arrive(std::move(landed), id_, next);
-                         });
+                         [this, port]() { land(port); });
 }
 
-std::size_t Switch::queue_length(Port port) const {
-  if (port < 0 || std::size_t(port) >= ports_.size()) return 0;
-  return ports_[std::size_t(port)].queue.size();
+DDPM_HOT void Switch::land(Port port) {
+  OutputPort& out = ports_[std::size_t(port)];
+  const PacketHandle h = out.in_flight.front();
+  out.in_flight.pop_front();
+  env_->switches[env_->table->next_node(id_, port)].handle(
+      h, env_->table->reverse_port(id_, port));
 }
 
 }  // namespace ddpm::cluster

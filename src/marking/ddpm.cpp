@@ -82,7 +82,7 @@ DDPM_HOT topo::Coord DdpmCodec::decode(std::uint16_t field) const {
 }
 
 void DdpmScheme::on_injection(pkt::Packet& packet, NodeId /*at*/) {
-  packet.set_marking_field(codec_.encode(topo::Coord(topo_.num_dims())));
+  packet.set_marking_field(codec_.encode(topo::Coord(table_.num_dims())));
 }
 
 DDPM_HOT void DdpmScheme::on_forward(pkt::Packet& packet, NodeId current,
@@ -90,10 +90,10 @@ DDPM_HOT void DdpmScheme::on_forward(pkt::Packet& packet, NodeId current,
   const topo::Coord v = codec_.decode(packet.marking_field());
   // Hypercube hops flip one coordinate bit, so the per-hop delta and the
   // accumulation are both XOR; elsewhere they are signed differences/sums.
-  topo::Coord updated =
-      codec_.is_hypercube()
-          ? (v ^ (topo_.coord_of(next) ^ topo_.coord_of(current)))
-          : (v + (topo_.coord_of(next) - topo_.coord_of(current)));
+  const topo::Coord& here = table_.coord(current);
+  const topo::Coord& there = table_.coord(next);
+  topo::Coord updated = codec_.is_hypercube() ? (v ^ (there ^ here))
+                                              : (v + (there - here));
   // Honest fields can never leave the codec's range (telescoping bounds
   // every component by the coordinate span), but a compromised switch or
   // an un-reset attacker seed can push the sum to the slice boundary. A
@@ -101,8 +101,8 @@ DDPM_HOT void DdpmScheme::on_forward(pkt::Packet& packet, NodeId current,
   // vector decodes to an out-of-range source at the victim, i.e. the
   // tampering is detected rather than silently misattributed.
   if (!codec_.is_hypercube()) {
-    for (std::size_t d = 0; d < topo_.num_dims(); ++d) {
-      const int span = topo_.dim_size(d) - 1;
+    for (std::size_t d = 0; d < table_.num_dims(); ++d) {
+      const int span = table_.radix(d) - 1;
       if (updated[d] > span || updated[d] < -span) probes_.on_saturation();
       if (updated[d] > span) updated[d] = topo::Coord::value_type(span);
       if (updated[d] < -span) updated[d] = topo::Coord::value_type(-span);

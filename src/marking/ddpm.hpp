@@ -64,7 +64,7 @@ class DdpmCodec {
 class DdpmScheme final : public MarkingScheme {
  public:
   explicit DdpmScheme(const topo::Topology& topo)
-      : topo_(topo), codec_(topo) {}
+      : table_(topo.link_table()), codec_(topo) {}
 
   std::string name() const override { return "ddpm"; }
 
@@ -77,7 +77,8 @@ class DdpmScheme final : public MarkingScheme {
   const DdpmCodec& codec() const noexcept { return codec_; }
 
  private:
-  const topo::Topology& topo_;
+  /// The topology's link table: per-hop coordinates without dispatch.
+  const topo::LinkTable& table_;
   DdpmCodec codec_;
 };
 

@@ -83,7 +83,8 @@ class EventWheel {
   void clear();
 
   /// Pre-sizes the ticket pool and overflow heap for `n` simultaneous
-  /// pending events.
+  /// pending events, and every bucket for a burst of same-tick events
+  /// proportional to `n`.
   void reserve(std::size_t n);
 
   /// Cancelled events whose bucket/heap entries have not been swept yet.

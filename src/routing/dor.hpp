@@ -27,6 +27,13 @@ class DimensionOrderRouter final : public Router {
 /// Signed step direction (-1 or +1) that dimension-order routing takes in
 /// dimension `d` from coordinate `a` toward `b`, or 0 if already aligned.
 /// Exposed for reuse by the adaptive routers.
-int productive_direction(const topo::Topology& topo, std::size_t d, int a, int b);
+int productive_direction(const topo::LinkTable& table, std::size_t d, int a,
+                         int b);
+
+/// Every productive (distance-reducing) port from `current` toward
+/// `target`, in ascending port order: the minimal adaptive candidate set,
+/// shared by the adaptive and Valiant routers.
+PortList productive_ports(const topo::LinkTable& table, NodeId current,
+                          NodeId target);
 
 }  // namespace ddpm::route

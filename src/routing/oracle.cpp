@@ -11,10 +11,12 @@ PortList OracleRouter::candidates(NodeId current, NodeId dest,
   // strictly closer by the topology's own metric.
   PortList out;
   if (current == dest) return out;
-  const int here = topo_.min_hops(current, dest);
-  for (Port p = 0; p < topo_.num_ports(); ++p) {
-    const auto next = topo_.neighbor(current, p);
-    if (next && topo_.min_hops(*next, dest) < here) out.push_back(p);
+  const int here = table_.minimal_hops(current, dest);
+  for (Port p = 0; p < table_.num_ports(); ++p) {
+    const NodeId next = table_.next_node(current, p);
+    if (next != topo::kInvalidNode && table_.minimal_hops(next, dest) < here) {
+      out.push_back(p);
+    }
   }
   return out;
 }
@@ -23,25 +25,27 @@ PortList OracleRouter::usable_shortest_ports(NodeId current, NodeId dest,
                                              const LinkStateView& links) const {
   // BFS from `dest` over usable links (treated as symmetric) gives each
   // node its usable-path distance; productive ports step down by one.
-  std::vector<int> dist(topo_.num_nodes(), -1);
+  std::vector<int> dist(table_.num_nodes(), -1);
   dist[dest] = 0;
   std::deque<NodeId> frontier{dest};
   while (!frontier.empty() && dist[current] < 0) {
     const NodeId u = frontier.front();
     frontier.pop_front();
-    for (Port p = 0; p < topo_.num_ports(); ++p) {
-      const auto v = topo_.neighbor(u, p);
-      if (!v || dist[*v] >= 0 || !links.link_usable(u, p)) continue;
-      dist[*v] = dist[u] + 1;
-      frontier.push_back(*v);
+    for (Port p = 0; p < table_.num_ports(); ++p) {
+      const NodeId v = table_.next_node(u, p);
+      if (v == topo::kInvalidNode || dist[v] >= 0 || !links.link_usable(u, p)) {
+        continue;
+      }
+      dist[v] = dist[u] + 1;
+      frontier.push_back(v);
     }
   }
   PortList out;
   if (dist[current] <= 0) return out;  // unreachable, or already there
-  for (Port p = 0; p < topo_.num_ports(); ++p) {
-    const auto next = topo_.neighbor(current, p);
-    if (!next || !links.link_usable(current, p)) continue;
-    if (dist[*next] >= 0 && dist[*next] == dist[current] - 1) out.push_back(p);
+  for (Port p = 0; p < table_.num_ports(); ++p) {
+    const NodeId next = table_.next_node(current, p);
+    if (next == topo::kInvalidNode || !links.link_usable(current, p)) continue;
+    if (dist[next] >= 0 && dist[next] == dist[current] - 1) out.push_back(p);
   }
   return out;
 }

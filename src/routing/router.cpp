@@ -35,15 +35,15 @@ std::optional<Port> Router::select_output(NodeId current, NodeId dest,
                                           Port arrived_on,
                                           const LinkStateView& links,
                                           netsim::Rng& rng) const {
-  DDPM_DCHECK(topo_.contains(current) && topo_.contains(dest),
+  DDPM_DCHECK(table_.contains(current) && table_.contains(dest),
               "select_output: node id outside topology");
   auto valid_out = [this, current](std::optional<Port> p) {
     // Every emitted port must exist at `current` and lead somewhere: a
     // routing policy that fabricates ports would make the cluster model
     // dereference a nonexistent link.
-    DDPM_DCHECK(!p || (*p >= 0 && *p < topo_.num_ports()),
+    DDPM_DCHECK(!p || (*p >= 0 && *p < table_.num_ports()),
                 "select_output: port index out of range");
-    DDPM_DCHECK(!p || topo_.neighbor(current, *p).has_value(),
+    DDPM_DCHECK(!p || table_.next_node(current, *p) != topo::kInvalidNode,
                 "select_output: port has no neighbor");
     return p;
   };

@@ -56,22 +56,24 @@ class StaticLinkState final : public LinkStateView {
  public:
   explicit StaticLinkState(const topo::Topology& topo,
                            const topo::LinkFailureSet* failures = nullptr)
-      : topo_(topo), failures_(failures) {}
+      : table_(topo.link_table()), failures_(failures) {}
 
   bool link_usable(NodeId node, Port port) const override {
-    const auto next = topo_.neighbor(node, port);
-    if (!next) return false;
-    return failures_ == nullptr || !failures_->is_failed(node, *next);
+    if (port < 0 || port >= table_.num_ports()) return false;
+    const NodeId next = table_.next_node(node, port);
+    if (next == topo::kInvalidNode) return false;
+    return failures_ == nullptr || !failures_->is_failed(node, next);
   }
 
  private:
-  const topo::Topology& topo_;
+  const topo::LinkTable& table_;
   const topo::LinkFailureSet* failures_;
 };
 
 class Router {
  public:
-  explicit Router(const topo::Topology& topo) : topo_(topo) {}
+  explicit Router(const topo::Topology& topo)
+      : topo_(topo), table_(topo.link_table()) {}
   virtual ~Router() = default;
 
   virtual std::string name() const = 0;
@@ -123,6 +125,8 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   const topo::Topology& topo_;
+  /// topo_.link_table(): per-decision geometry without virtual dispatch.
+  const topo::LinkTable& table_;
 };
 
 /// Constructs a router by name. Accepted names:

@@ -12,32 +12,12 @@ std::uint64_t mix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-PortList productive_ports(const topo::Topology& topo, NodeId current,
-                          NodeId target) {
-  PortList out;
-  if (current == target) return out;
-  if (topo.kind() == topo::TopologyKind::kHypercube) {
-    const NodeId diff = current ^ target;
-    for (Port p = 0; p < topo.num_ports(); ++p) {
-      if (diff & (NodeId(1) << p)) out.push_back(p);
-    }
-    return out;
-  }
-  const topo::Coord a = topo.coord_of(current);
-  const topo::Coord b = topo.coord_of(target);
-  for (std::size_t d = 0; d < topo.num_dims(); ++d) {
-    const int dir = productive_direction(topo, d, a[d], b[d]);
-    if (dir != 0) out.push_back(static_cast<Port>(2 * d + (dir > 0 ? 1 : 0)));
-  }
-  return out;
-}
-
 }  // namespace
 
 NodeId ValiantRouter::intermediate_for(NodeId dest) const {
   return NodeId(mix((std::uint64_t(dest) << 32) ^ salt_ ^
                     0xda3e39cb94b95bdbULL) %
-                topo_.num_nodes());
+                table_.num_nodes());
 }
 
 PortList ValiantRouter::candidates(NodeId current, NodeId dest,
@@ -46,8 +26,8 @@ PortList ValiantRouter::candidates(NodeId current, NodeId dest,
   const NodeId mid = intermediate_for(dest);
   const bool phase_two =
       current == mid ||
-      topo_.min_hops(current, dest) < topo_.min_hops(mid, dest);
-  return productive_ports(topo_, current, phase_two ? dest : mid);
+      table_.minimal_hops(current, dest) < table_.minimal_hops(mid, dest);
+  return productive_ports(table_, current, phase_two ? dest : mid);
 }
 
 }  // namespace ddpm::route

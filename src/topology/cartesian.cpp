@@ -36,9 +36,9 @@ Coord CartesianTopology::coord_of(NodeId id) const {
   Coord c(dims_.size());
   for (std::size_t d = 0; d < dims_.size(); ++d) {
     // The id<->coord codec IS the division; hot paths never call it —
-    // they read tables precomputed from it at construction.
-    c[d] = static_cast<Coord::value_type>(
-        (id / strides_[d]) % NodeId(dims_[d]));  // ddpm-analyze: allow(hot-no-div)
+    // they read the LinkTable coordinates precomputed from it.
+    c[d] = static_cast<Coord::value_type>((id / strides_[d]) %
+                                          NodeId(dims_[d]));
   }
   return c;
 }

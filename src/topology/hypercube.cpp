@@ -10,6 +10,7 @@ Hypercube::Hypercube(int n) : n_(n) {
   if (n < 1 || n > int(Coord::kMaxDims)) {
     throw std::invalid_argument("Hypercube: dimension must be in [1, 16]");
   }
+  build_link_table();
 }
 
 Coord Hypercube::coord_of(NodeId id) const {
@@ -41,10 +42,6 @@ std::optional<Port> Hypercube::port_to(NodeId from, NodeId to) const {
   const NodeId diff = from ^ to;
   if (std::popcount(diff) != 1) return std::nullopt;
   return std::countr_zero(diff);
-}
-
-int Hypercube::min_hops(NodeId a, NodeId b) const {
-  return std::popcount(a ^ b);
 }
 
 std::string Hypercube::spec() const {

@@ -28,7 +28,6 @@ class Hypercube final : public Topology {
 
   std::optional<NodeId> neighbor(NodeId node, Port port) const override;
   std::optional<Port> port_to(NodeId from, NodeId to) const override;
-  int min_hops(NodeId a, NodeId b) const override;
 
   std::string spec() const override;
 

@@ -12,6 +12,7 @@ Mesh::Mesh(std::vector<int> dims) : CartesianTopology(std::move(dims), 2) {
     // interior (k >= 3); a radix-2 dimension contributes only one link.
     degree_ += dim_size(d) >= 3 ? 2 : 1;
   }
+  build_link_table();
 }
 
 std::optional<NodeId> Mesh::neighbor(NodeId node, Port port) const {
@@ -35,10 +36,6 @@ std::optional<Port> Mesh::port_to(NodeId from, NodeId to) const {
     port = make_port(d, delta);
   }
   return port;
-}
-
-int Mesh::min_hops(NodeId a, NodeId b) const {
-  return (coord_of(b) - coord_of(a)).l1_norm();
 }
 
 std::string Mesh::spec() const {

@@ -1,6 +1,5 @@
 #include "topology/torus.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "core/check.hpp"
@@ -9,6 +8,7 @@ namespace ddpm::topo {
 
 Torus::Torus(std::vector<int> dims) : CartesianTopology(std::move(dims), 3) {
   for (std::size_t d = 0; d < num_dims(); ++d) diameter_ += dim_size(d) / 2;
+  build_link_table();
 }
 
 std::optional<NodeId> Torus::neighbor(NodeId node, Port port) const {
@@ -19,9 +19,9 @@ std::optional<NodeId> Torus::neighbor(NodeId node, Port port) const {
   // Wrap in unsigned space: coord + dir + k is in [k-1, 2k] for a valid
   // coordinate, so the modular reduction never touches signed overflow.
   // Audited wrap arithmetic (neighbor codec); hot paths read the
-  // precomputed neighbor tables instead of re-deriving this.
+  // LinkTable built from it instead of re-deriving this.
   const unsigned wrapped =
-      (unsigned(int(c[dim]) + dir + k)) % unsigned(k);  // ddpm-analyze: allow(hot-no-div)
+      (unsigned(int(c[dim]) + dir + k)) % unsigned(k);
   c[dim] = static_cast<Coord::value_type>(wrapped);
   return id_of(c);
 }
@@ -56,16 +56,6 @@ int Torus::ring_delta(int a, int b, std::size_t d) const noexcept {
              "ring_delta: coordinate outside [0, k)");
   // k even and delta == k/2: +k/2 (positive direction), per contract.
   return ring_shortest_delta(a, b, k);
-}
-
-int Torus::min_hops(NodeId a, NodeId b) const {
-  const Coord ca = coord_of(a);
-  const Coord cb = coord_of(b);
-  int hops = 0;
-  for (std::size_t d = 0; d < num_dims(); ++d) {
-    hops += std::abs(ring_delta(ca[d], cb[d], d));
-  }
-  return hops;
 }
 
 std::string Torus::spec() const {

@@ -21,7 +21,6 @@ class Torus final : public CartesianTopology {
 
   std::optional<NodeId> neighbor(NodeId node, Port port) const override;
   std::optional<Port> port_to(NodeId from, NodeId to) const override;
-  int min_hops(NodeId a, NodeId b) const override;
 
   /// Signed ring distance from a to b in dimension d: the smallest-magnitude
   /// delta with b = (a + delta) mod k. Ties (k even, |delta| = k/2) resolve

@@ -34,29 +34,6 @@ ProtoModel::ProtoModel(const ModelOptions& opt) : opt_(opt) {
 
   const std::size_t N = std::size_t(nodes_);
   const std::size_t P = std::size_t(ports_);
-  neighbor_.assign(N * P, topo::kInvalidNode);
-  reverse_port_.assign(N * P, Port(-1));
-  wrap_link_.assign(N * P, 0);
-  for (NodeId n = 0; n < NodeId(N); ++n) {
-    for (Port p = 0; p < ports_; ++p) {
-      const auto nbr = topo_->neighbor(n, p);
-      if (!nbr.has_value()) continue;
-      neighbor_[std::size_t(n) * P + std::size_t(p)] = *nbr;
-      reverse_port_[std::size_t(n) * P + std::size_t(p)] =
-          *topo_->port_to(*nbr, n);
-      if (escape_vcs_ > 1) {
-        // Same dateline rule as WormholeNetwork::build_route_tables: a
-        // torus link whose coordinate delta is not +-1 wraps.
-        const std::size_t dim = std::size_t(p / 2);
-        const topo::Coord here = topo_->coord_of(n);
-        const topo::Coord there = topo_->coord_of(*nbr);
-        const int delta = int(there[dim]) - int(here[dim]);
-        if (delta != 1 && delta != -1) {
-          wrap_link_[std::size_t(n) * P + std::size_t(p)] = 1;
-        }
-      }
-    }
-  }
 
   escape_port_.assign(N * N, Port(-1));
   cand_.assign(N * N * (P + 1), route::PortList{});
@@ -135,10 +112,8 @@ void ProtoModel::restore_credit(ModelState& s, NodeId node, int in_port,
                                int in_vc) const {
   if (mut(core::ModelMutation::kDropCreditReturn)) return;  // seeded bug
   if (in_port == ports_) return;  // injection queue is unbounded
-  const std::size_t link = std::size_t(node) * std::size_t(ports_) +
-                           std::size_t(in_port);
-  const NodeId up = neighbor_[link];
-  const Port up_port = reverse_port_[link];
+  const NodeId up = link_neighbor(node, in_port);
+  const Port up_port = link_reverse(node, in_port);
   std::int8_t& credits =
       s.credits[std::size_t(up) * std::size_t(out_units()) +
                 std::size_t(up_port) * std::size_t(vcs_) +
@@ -298,10 +273,8 @@ void ProtoModel::step(ModelState& s) const {
         // as the hooked real engines do.
         if (s.credits[oi] > 0) --s.credits[oi];
         restore_credit(s, node, int(unit) / vcs_, int(unit) % vcs_);
-        const std::size_t link = std::size_t(node) * std::size_t(ports_) +
-                                 std::size_t(out_port);
-        const NodeId next = neighbor_[link];
-        const Port next_in_port = reverse_port_[link];
+        const NodeId next = link_neighbor(node, out_port);
+        const Port next_in_port = link_reverse(node, out_port);
         if (flit.tail) {
           s.allocated[oi] = 0;
           s.active[gi] = 0;
@@ -358,11 +331,9 @@ bool ProtoModel::check_safety(const ModelState& s, std::string* property,
              << occ << " flits (depth " << opt_.buffer_flits << ")";
           return fail("no-overflow", os.str());
         }
-        const std::size_t link = std::size_t(n) * std::size_t(ports_) +
-                                 std::size_t(p);
-        const NodeId up = neighbor_[link];
+        const NodeId up = link_neighbor(n, p);
         if (up == topo::kInvalidNode) continue;
-        const Port up_port = reverse_port_[link];
+        const Port up_port = link_reverse(n, p);
         const int credits =
             int(s.credits[std::size_t(up) * std::size_t(out_units()) +
                           std::size_t(up_port) * std::size_t(vcs_) +

@@ -151,17 +151,17 @@ class ProtoModel {
 
   ModelProjection project(const ModelState& s) const;
 
-  // Flat tables, exposed for the symmetry-group validator.
+  // The topology's link table, exposed for the symmetry-group validator.
   NodeId link_neighbor(NodeId n, Port p) const noexcept {
-    return neighbor_[std::size_t(n) * std::size_t(ports_) + std::size_t(p)];
+    return topo_->link_table().next_node(n, p);
   }
   Port link_reverse(NodeId n, Port p) const noexcept {
-    return reverse_port_[std::size_t(n) * std::size_t(ports_) +
-                         std::size_t(p)];
+    return topo_->link_table().reverse_port(n, p);
   }
+  /// Dateline crossing: a torus wraparound link, when the two-class
+  /// escape layer is on (the only configuration that reads the flag).
   bool link_wrap(NodeId n, Port p) const noexcept {
-    return wrap_link_[std::size_t(n) * std::size_t(ports_) +
-                      std::size_t(p)] != 0;
+    return escape_vcs_ > 1 && topo_->link_table().wraps(n, p);
   }
   /// Adaptive candidates for (node, dest, arrived_on); arrived_on may be
   /// route::kLocalPort.
@@ -190,9 +190,6 @@ class ProtoModel {
   int ports_ = 0;
   int vcs_ = 0;
   int escape_vcs_ = 0;
-  std::vector<NodeId> neighbor_;        // N * P
-  std::vector<Port> reverse_port_;      // N * P
-  std::vector<std::uint8_t> wrap_link_; // N * P
   std::vector<Port> escape_port_;       // N * N
   std::vector<route::PortList> cand_;   // N * N * (P + 1), arrival-indexed
   std::vector<std::pair<int, int>> pairs_;

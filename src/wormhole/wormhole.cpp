@@ -21,7 +21,8 @@ WormholeNetwork::WormholeNetwork(const topo::Topology& topo,
       escape_vcs_(config.disable_escape
                       ? 0
                       : (topo.kind() == topo::TopologyKind::kTorus ? 2 : 1)),
-      rng_(config.seed) {
+      rng_(config.seed),
+      table_(topo.link_table()) {
   // Factory deadlock gate (routing/deadlock.hpp): a blocking substrate
   // must carry the escape VCs the routing declaration demands. The
   // `disable_escape` negative control opts out explicitly — it exists to
@@ -97,49 +98,21 @@ void WormholeNetwork::build_soa() {
   link_dst_.assign(N * std::size_t(num_ports_), LinkDst{});
   for (NodeId n = 0; n < NodeId(N); ++n) {
     for (Port p = 0; p < num_ports_; ++p) {
-      const std::size_t link = std::size_t(n) * std::size_t(num_ports_) +
-                               std::size_t(p);
-      const NodeId up = neighbor_[link];
+      const NodeId up = table_.next_node(n, p);
       if (up == topo::kInvalidNode) continue;
-      const Port up_port = reverse_port_[link];
+      const Port up_port = table_.reverse_port(n, p);
       for (int vc = 0; vc < V; ++vc) {
         credit_slot_[std::size_t(n) * U + std::size_t(p * V + vc)] =
             std::int32_t(soa_out_index(up, up_port, vc));
       }
-      link_dst_[link] = LinkDst{up, std::uint16_t(up_port * V)};
+      link_dst_[std::size_t(n) * std::size_t(num_ports_) + std::size_t(p)] =
+          LinkDst{up, std::uint16_t(up_port * V)};
     }
   }
 }
 
 void WormholeNetwork::build_route_tables() {
   const std::size_t N = std::size_t(num_nodes_);
-  const std::size_t P = std::size_t(num_ports_);
-
-  // Link tables (always built — O(N*P)): the hot loop reads these instead
-  // of dispatching through the virtual Topology interface per flit.
-  neighbor_.assign(N * P, topo::kInvalidNode);
-  reverse_port_.assign(N * P, Port(-1));
-  wrap_link_.assign(N * P, 0);
-  for (NodeId n = 0; n < NodeId(N); ++n) {
-    for (Port p = 0; p < num_ports_; ++p) {
-      const auto nbr = topo_.neighbor(n, p);
-      if (!nbr.has_value()) continue;
-      neighbor_[std::size_t(n) * P + std::size_t(p)] = *nbr;
-      reverse_port_[std::size_t(n) * P + std::size_t(p)] = *topo_.port_to(*nbr, n);
-      if (escape_vcs_ > 1) {
-        // Dateline flag: on the torus, ports follow the cartesian
-        // convention (port = 2*dim + dir), and a link whose coordinate
-        // delta in its dimension is not +-1 is a wraparound link.
-        const std::size_t dim = std::size_t(p / 2);
-        const topo::Coord here = topo_.coord_of(n);
-        const topo::Coord there = topo_.coord_of(*nbr);
-        const int delta = int(there[dim]) - int(here[dim]);
-        if (delta != 1 && delta != -1) {
-          wrap_link_[std::size_t(n) * P + std::size_t(p)] = 1;
-        }
-      }
-    }
-  }
 
   // Per-(node, dest) tables are O(N^2); honor the budget.
   if (!config_.use_route_tables || N > config_.route_table_max_nodes) return;
@@ -181,18 +154,7 @@ void WormholeNetwork::inject(pkt::Packet&& packet, NodeId src) {
   packet.header.set_ttl(config_.initial_ttl);
   const std::uint32_t flits = std::max<std::uint32_t>(
       1, (packet.wire_bytes() + config_.flit_bytes - 1) / config_.flit_bytes);
-  std::uint32_t id;
-  if (!pkt_free_.empty()) {
-    id = pkt_free_.back();
-    pkt_free_.pop_back();
-    pkt_pool_[id] = std::move(packet);
-  } else {
-    id = std::uint32_t(pkt_pool_.size());
-    pkt_pool_.push_back(std::move(packet));
-    // Keep the freelist's capacity at least the pool's: the tail-ejection
-    // release in the hot loop must never allocate.
-    pkt_free_.reserve(pkt_pool_.capacity());
-  }
+  const std::uint32_t id = packets_.acquire(std::move(packet));
   if (soa_units_ != 0) {
     const int unit = soa_switch_units_;  // injection port, VC 0
     core::RingBuffer<Flit>& buf = inj_queue(src, unit);
@@ -297,11 +259,9 @@ bool WormholeNetwork::check_protocol_invariants(std::string* why) const {
         // Credit conservation per link/VC: the upstream neighbor's credit
         // counter for the output VC feeding this buffer, plus the flits
         // sitting in the buffer, must equal the depth.
-        const std::size_t link =
-            std::size_t(n) * std::size_t(num_ports_) + std::size_t(p);
-        const NodeId up = neighbor_[link];
+        const NodeId up = table_.next_node(n, p);
         if (up == topo::kInvalidNode) continue;
-        const Port up_port = reverse_port_[link];
+        const Port up_port = table_.reverse_port(n, p);
         const std::int32_t credits =
             snap.credits[std::size_t(up) * out_units +
                          std::size_t(up_port) * std::size_t(V) +
@@ -347,10 +307,8 @@ DDPM_HOT void WormholeNetwork::return_credit(NodeId node, int in_port,
                                              int vc) {
   if (DDPM_MODEL_MUTATION(kDropCreditReturn)) return;  // seeded bug
   if (in_port == injection_port()) return;  // injection queue is unbounded
-  const std::size_t link = std::size_t(node) * std::size_t(num_ports_) +
-                           std::size_t(in_port);
-  const NodeId upstream = neighbor_[link];
-  const Port up_port = reverse_port_[link];
+  const NodeId upstream = table_.next_node(node, in_port);
+  const Port up_port = table_.reverse_port(node, in_port);
   OutputVc& out = output_vc(upstream, up_port, vc);
   if (out.credits < config_.buffer_flits) ++out.credits;
 }
@@ -358,7 +316,7 @@ DDPM_HOT void WormholeNetwork::return_credit(NodeId node, int in_port,
 DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port,
                                         InputVc& vc) {
   const Flit& head = vc.buffer.front();
-  pkt::Packet& packet = pkt_pool_[head.pkt];
+  pkt::Packet& packet = packets_[head.pkt];
   const Port arrived_on =
       in_port == injection_port() ? route::kLocalPort : Port(in_port);
 
@@ -436,15 +394,14 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port,
     }
     if (escape_vcs_ > 1) {
       // Torus dateline: entering a new dimension resets the class; taking
-      // the wraparound link (precomputed wrap_link_) promotes it.
+      // the wraparound link (the link table's wrap flag) promotes it.
       const std::size_t dim = std::size_t(p / 2);
       bool same_dim_as_arrival = false;
       if (arrived_on != route::kLocalPort) {
         same_dim_as_arrival = (std::size_t(arrived_on / 2) == dim);
       }
       if (!same_dim_as_arrival) next_class = 0;
-      if (wrap_link_[std::size_t(node) * std::size_t(num_ports_) +
-                     std::size_t(p)] != 0) {
+      if (table_.wraps(node, p)) {
         next_class = 1;  // wrap crossing
       }
     }
@@ -465,8 +422,7 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port,
   vc.active = true;
   vc.out_port = best_port;
   vc.out_vc = best_vc;
-  const NodeId next = neighbor_[std::size_t(node) * std::size_t(num_ports_) +
-                                std::size_t(best_port)];
+  const NodeId next = table_.next_node(node, best_port);
   packet.header.decrement_ttl();
   // Scheme polymorphism is the experiment's independent variable — the
   // one virtual call the hot path keeps, by design.
@@ -491,15 +447,22 @@ DDPM_HOT void WormholeNetwork::eject(NodeId node, InputVc& vc) {
     const bool tail = flit.tail;
     if (tail) {
       vc.active = false;
+      // The tail is the packet's last use: its slab slot is released here.
       if (vc.out_port == -2) {
         ++dropped_ttl_;
+        packets_.release(flit.pkt);
       } else {
-        pkt_pool_[flit.pkt].delivered_at = cycle_;
+        packets_[flit.pkt].delivered_at = cycle_;
         ++delivered_;
         probes_.on_delivered();
-        if (hook_) hook_(std::move(pkt_pool_[flit.pkt]), node);
+        // Take the packet out before the hook: a hook that injects may grow
+        // the slab, which would invalidate a reference into it.
+        if (hook_) {
+          hook_(packets_.take(flit.pkt), node);
+        } else {
+          packets_.release(flit.pkt);
+        }
       }
-      pkt_free_.push_back(flit.pkt);  // tail is the packet's last use
       vc.out_port = -1;
       return;
     }
@@ -520,7 +483,7 @@ DDPM_HOT void WormholeNetwork::switch_allocation(NodeId node) {
     if (!vc.active) {
       const Flit& front = vc.buffer.front();
       if (!front.head) continue;  // body flits of an ejected/advancing head
-      if (pkt_pool_[front.pkt].dest_node == node) {
+      if (packets_[front.pkt].dest_node == node) {
         // Local delivery path: consume and credit.
         const std::size_t consumed = vc.buffer.size();
         vc.out_port = -1;
@@ -572,10 +535,8 @@ DDPM_HOT void WormholeNetwork::switch_allocation(NodeId node) {
       const int in_port = int(unit_port_[unit]);
       const int in_vc = int(unit_vc_[unit]);
       return_credit(node, in_port, in_vc);
-      const std::size_t link = std::size_t(node) * std::size_t(num_ports_) +
-                               std::size_t(out_port);
-      const NodeId next = neighbor_[link];
-      const int next_in_port = reverse_port_[link];
+      const NodeId next = table_.next_node(node, out_port);
+      const int next_in_port = table_.reverse_port(node, out_port);
       if (flit.tail) {
         out.allocated = false;
         vc.active = false;
@@ -626,15 +587,22 @@ DDPM_HOT void WormholeNetwork::soa_eject(NodeId node, int unit) {
     ++progress_marker_;
     if (flit.tail) {
       ctl.active = 0;
+      // The tail is the packet's last use: its slab slot is released here.
       if (ctl.out_port == -2) {
         ++dropped_ttl_;
+        packets_.release(flit.pkt);
       } else {
-        pkt_pool_[flit.pkt].delivered_at = cycle_;
+        packets_[flit.pkt].delivered_at = cycle_;
         ++delivered_;
         probes_.on_delivered();
-        if (hook_) hook_(std::move(pkt_pool_[flit.pkt]), node);
+        // Take the packet out before the hook: a hook that injects may grow
+        // the slab, which would invalidate a reference into it.
+        if (hook_) {
+          hook_(packets_.take(flit.pkt), node);
+        } else {
+          packets_.release(flit.pkt);
+        }
       }
-      pkt_free_.push_back(flit.pkt);  // tail is the packet's last use
       ctl.out_port = -1;
       break;
     }
@@ -648,7 +616,7 @@ DDPM_HOT bool WormholeNetwork::soa_allocate(NodeId node, int in_port,
                         std::size_t(unit);
   UnitCtl& ctl = soa_in_[g];
   const Flit& head = soa_qfront(node, unit, ctl);
-  pkt::Packet& packet = pkt_pool_[head.pkt];
+  pkt::Packet& packet = packets_[head.pkt];
   const Port arrived_on =
       in_port == injection_port() ? route::kLocalPort : Port(in_port);
 
@@ -720,8 +688,7 @@ DDPM_HOT bool WormholeNetwork::soa_allocate(NodeId node, int in_port,
         same_dim_as_arrival = (std::size_t(arrived_on / 2) == dim);
       }
       if (!same_dim_as_arrival) next_class = 0;
-      if (wrap_link_[std::size_t(node) * std::size_t(num_ports_) +
-                     std::size_t(p)] != 0) {
+      if (table_.wraps(node, p)) {
         next_class = 1;  // wrap crossing
       }
     }
@@ -745,8 +712,7 @@ DDPM_HOT bool WormholeNetwork::soa_allocate(NodeId node, int in_port,
   ctl.out_slot = std::int32_t(slot);
   req_[std::size_t(node) * std::size_t(num_ports_) + std::size_t(best_port)] |=
       (std::uint64_t(1) << unsigned(unit));
-  const NodeId next = neighbor_[std::size_t(node) * std::size_t(num_ports_) +
-                                std::size_t(best_port)];
+  const NodeId next = table_.next_node(node, best_port);
   packet.header.decrement_ttl();
   if (scheme_ != nullptr) scheme_->on_forward(packet, node, next);  // ddpm-analyze: allow(hot-no-virtual)
   ++packet.hops;
@@ -779,7 +745,7 @@ DDPM_HOT void WormholeNetwork::soa_switch_allocation(NodeId node) {
     if (ctl.active == 0) {
       const Flit& front = soa_qfront(node, unit, ctl);
       if (!front.head) continue;  // body flits of an ejected/advancing head
-      if (pkt_pool_[front.pkt].dest_node == node) {
+      if (packets_[front.pkt].dest_node == node) {
         const std::size_t consumed = soa_qsize(node, unit, ctl);
         ctl.out_port = -1;
         ctl.active = 1;  // occupy until tail passes

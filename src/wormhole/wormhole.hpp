@@ -24,15 +24,15 @@
 // sweeps (bench_wormhole_loadlatency) and deadlock tests deterministic.
 //
 // Steady-state performance: the per-flit loop is annotated DDPM_HOT and
-// audited by the hot-path analyzer rules (docs/STATIC_ANALYSIS.md). At
-// construction the network precomputes flat tables — neighbor/reverse-port
-// per (node, port), dateline wrap flags, the escape router's
-// dimension-order next hop per (node, dest), and, for routers that declare
-// arrival-invariant candidates, the candidate port set as a bitmask per
-// (node, dest) — so the steady-state loop performs no virtual dispatch and
-// no heap allocation (flit queues are flat RingBuffers, reserved to credit
-// depth). Table-driven routing is byte-identical to the virtual path; the
-// `use_route_tables` toggle exists so tests can prove it.
+// audited by the hot-path analyzer rules (docs/STATIC_ANALYSIS.md). It
+// reads neighbor/reverse-port/dateline-wrap per (node, port) from the
+// topology's flat LinkTable, and at construction precomputes the escape
+// router's dimension-order next hop per (node, dest) and, for routers that
+// declare arrival-invariant candidates, the candidate port set as a
+// bitmask per (node, dest) — so the steady-state loop performs no virtual
+// dispatch and no heap allocation (flit queues are flat RingBuffers,
+// reserved to credit depth). Table-driven routing is byte-identical to the
+// virtual path; the `use_route_tables` toggle exists so tests can prove it.
 //
 // On top of the tables sits the structure-of-arrays engine (default): all
 // per-unit control state lives in flat UnitCtl/OutCtl records indexed by
@@ -57,6 +57,7 @@
 #include "core/hot_path.hpp"
 #include "core/model_hooks.hpp"
 #include "core/ring.hpp"
+#include "core/slab.hpp"
 #include "marking/scheme.hpp"
 #include "netsim/rng.hpp"
 #include "packet/packet.hpp"
@@ -203,7 +204,7 @@ class WormholeNetwork {
   // (Previously this was a shared_ptr — one allocation plus ~2 atomic ops
   // per flit of pure overhead in a single-threaded simulation.)
   struct DDPM_HOT_STATE Flit {
-    std::uint32_t pkt = 0;          // slot in pkt_pool_
+    std::uint32_t pkt = 0;          // handle in packets_
     bool head = false;
     bool tail = false;
     std::uint8_t escape_class = 0;  // torus dateline state
@@ -240,8 +241,8 @@ class WormholeNetwork {
 
   int injection_port() const noexcept { return num_ports_; }
 
-  /// Builds neighbor_/reverse_port_/wrap_link_ (always) and the
-  /// per-(node, dest) escape + candidate tables (when within budget).
+  /// Builds the per-(node, dest) escape + candidate tables (when within
+  /// budget).
   void build_route_tables();
 
   // -- reference engine (object graph; use_soa_engine = false) -------------
@@ -367,12 +368,11 @@ class WormholeNetwork {
   netsim::Rng rng_;
 
   // Construction-time caches of the virtual Topology interface: the hot
-  // loop indexes these flat tables instead of dispatching per flit.
+  // loop reads the topology's flat link table (neighbor, reverse port,
+  // wrap flag) and these tables instead of dispatching per flit.
+  const topo::LinkTable& table_;
   int num_nodes_ = 0;
   int num_ports_ = 0;
-  std::vector<NodeId> neighbor_;        // N*P; kInvalidNode where no link
-  std::vector<Port> reverse_port_;      // N*P; port on neighbor back to node
-  std::vector<std::uint8_t> wrap_link_; // N*P; 1 = torus wraparound link
   /// Escape next hop per (node, dest); -1 at node == dest. Dimension-order
   /// routing is deterministic and arrival-invariant, so one port suffices.
   std::vector<Port> escape_port_;       // N*N, or empty (fallback)
@@ -394,10 +394,8 @@ class WormholeNetwork {
 
   /// Packet slab (both engines). inject() acquires a slot (freelist first,
   /// growth only when every slot is in flight — cold); tail ejection
-  /// releases it. pkt_free_'s capacity tracks the pool's so the hot-path
-  /// release push never allocates.
-  std::vector<pkt::Packet> pkt_pool_;
-  std::vector<std::uint32_t> pkt_free_;
+  /// releases it without allocating.
+  core::Slab<pkt::Packet> packets_;
 
   /// SoA engine state. `soa_units_` is (P+1)*V when engaged, 0 otherwise;
   /// records are indexed by global unit id node * soa_units_ + u. Units

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "marking/ddpm.hpp"
 
@@ -219,6 +221,42 @@ TEST(Cluster, LifecycleErrors) {
   EXPECT_THROW(net.start(), std::logic_error);
   attack::AttackConfig attack;
   EXPECT_THROW(net.set_attack(attack), std::logic_error);
+}
+
+/// Runs `fn`, expecting std::out_of_range whose message names `value`.
+template <typename Fn>
+void expect_out_of_range_naming(Fn fn, const std::string& value) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception for " << value;
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find(value), std::string::npos) << e.what();
+  }
+}
+
+TEST(Cluster, InjectRejectsInjectingNodeOutsideTopology) {
+  ClusterNetwork net(quiet_config());  // mesh:4x4, nodes 0..15
+  net.start();
+  expect_out_of_range_naming(
+      [&] { net.inject(make_packet(net, 0, 3), 16); }, "16");
+  expect_out_of_range_naming(
+      [&] { net.inject(make_packet(net, 0, 3), topo::kInvalidNode); },
+      std::to_string(topo::kInvalidNode));
+  EXPECT_EQ(net.metrics().injected(), 0u);
+  net.run_until(100000);
+  EXPECT_EQ(net.metrics().delivered(), 0u);
+}
+
+TEST(Cluster, InjectRejectsDestinationOutsideTopology) {
+  ClusterNetwork net(quiet_config());
+  net.start();
+  pkt::Packet p = make_packet(net, 0, 3);
+  p.dest_node = 99;
+  expect_out_of_range_naming([&] { net.inject(std::move(p), 0); }, "99");
+  // A valid injection still works afterwards.
+  EXPECT_TRUE(net.inject(make_packet(net, 0, 3), 0));
+  net.run_until(100000);
+  EXPECT_EQ(net.metrics().delivered(), 1u);
 }
 
 TEST(Cluster, RecordTracesCapturesPath) {

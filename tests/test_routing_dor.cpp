@@ -125,11 +125,13 @@ TEST(DimensionOrder, NoCandidatesAtDestination) {
 }
 
 TEST(ProductiveDirection, MeshAndTorusSemantics) {
-  topo::Mesh m({8, 8});
+  const topo::Mesh mesh({8, 8});
+  const topo::LinkTable& m = mesh.link_table();
   EXPECT_EQ(productive_direction(m, 0, 2, 5), +1);
   EXPECT_EQ(productive_direction(m, 0, 5, 2), -1);
   EXPECT_EQ(productive_direction(m, 0, 3, 3), 0);
-  topo::Torus t({8, 8});
+  const topo::Torus torus({8, 8});
+  const topo::LinkTable& t = torus.link_table();
   EXPECT_EQ(productive_direction(t, 0, 0, 6), -1);  // wrap is shorter
   EXPECT_EQ(productive_direction(t, 0, 0, 3), +1);
   EXPECT_EQ(productive_direction(t, 0, 0, 4), +1);  // tie goes positive

@@ -2,6 +2,8 @@
 // direct network must satisfy, checked exhaustively on small instances.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "topology/factory.hpp"
 #include "topology/graph.hpp"
 
@@ -89,6 +91,37 @@ TEST_P(TopologyProperties, SpecRoundTrips) {
   EXPECT_EQ(again->num_nodes(), topo_->num_nodes());
   EXPECT_EQ(again->kind(), topo_->kind());
   EXPECT_EQ(again->spec(), topo_->spec());
+}
+
+TEST_P(TopologyProperties, LinkTableMatchesVirtualInterface) {
+  const LinkTable& table = topo_->link_table();
+  ASSERT_EQ(table.kind(), topo_->kind());
+  ASSERT_EQ(table.num_nodes(), topo_->num_nodes());
+  ASSERT_EQ(table.num_ports(), topo_->num_ports());
+  ASSERT_EQ(table.num_dims(), topo_->num_dims());
+  for (std::size_t d = 0; d < topo_->num_dims(); ++d) {
+    EXPECT_EQ(table.radix(d), topo_->dim_size(d));
+  }
+  for (NodeId a = 0; a < topo_->num_nodes(); ++a) {
+    EXPECT_EQ(table.coord(a), topo_->coord_of(a));
+    for (Port p = 0; p < topo_->num_ports(); ++p) {
+      const auto b = topo_->neighbor(a, p);
+      EXPECT_EQ(table.next_node(a, p), b.value_or(kInvalidNode));
+      if (!b) {
+        EXPECT_EQ(table.reverse_port(a, p), -1);
+        EXPECT_FALSE(table.wraps(a, p));
+        continue;
+      }
+      EXPECT_EQ(table.reverse_port(a, p), *topo_->port_to(*b, a));
+      const bool wraps = topo_->kind() == TopologyKind::kTorus &&
+                         std::abs(int(topo_->coord_of(*b)[std::size_t(p / 2)]) -
+                                  int(topo_->coord_of(a)[std::size_t(p / 2)])) != 1;
+      EXPECT_EQ(table.wraps(a, p), wraps) << GetParam() << " " << a << "/" << p;
+    }
+    for (NodeId b = 0; b < topo_->num_nodes(); b += 3) {
+      EXPECT_EQ(table.minimal_hops(a, b), topo_->min_hops(a, b));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, TopologyProperties,
