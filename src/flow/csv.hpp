@@ -17,6 +17,14 @@
 // legal (captures interleave exporters) but counted, since downstream
 // windowing folds stragglers into the current window.
 //
+// read_csv scans the stream in 64 KiB blocks pulled through its
+// streambuf and splits lines with memchr, parsing each line in place as
+// string_views; only a line that straddles two blocks is copied. No
+// per-line std::string is built, and quoted fields are never unescaped
+// (an escaped quote can only matter in the label, where it already makes
+// the label differ from BENIGN). tests/test_flow.cpp holds both functions
+// to a std::getline/std::from_chars reference implementation.
+//
 // Ingestion lives HERE, not in src/stream: the repo linter's
 // stream-no-ingest rule keeps <fstream> and string parsing out of the
 // sketch library so its hot paths stay pure state updates.
@@ -53,8 +61,9 @@ struct CsvStats {
 /// is malformed.
 bool parse_csv_line(std::string_view line, FlowRecord& out);
 
-/// Streams every well-formed record of `in` into `sink` in file order.
-/// An empty stream yields zero records and header_ok == false.
+/// Streams every well-formed record of `in` into `sink` in file order,
+/// leaving `in` at end of file (eofbit and failbit set, as a std::getline
+/// loop would). An empty stream yields zero records and header_ok == false.
 using RecordSink = std::function<void(const FlowRecord&)>;
 CsvStats read_csv(std::istream& in, const RecordSink& sink);
 

@@ -5,14 +5,22 @@
 // sketch SHARDED by key, with a structural shard count that is part of
 // the configuration — NOT the thread count:
 //
-//   * ingest (serial): each record is staged into the shard owning its
-//     source key and the shard owning its destination key; the global
+//   * ingest: each record is staged into the shard owning its source key
+//     and the shard owning its destination key; the global
 //     sliding-entropy sketch is fed in stream order.
-//   * window close: shards are processed by core::ParallelRunner — each
-//     worker touches only its own shard's sketches (count-min with
-//     conservative update is order-dependent, so a key's counters are
-//     only ever updated AND queried by the one shard that owns it) —
-//     then merged serially in shard order.
+//   * window close (double-buffered): at a window boundary ingest swaps
+//     the staging buffers with a spare set, snapshots what the judgement
+//     reads of the ingest-side state (entropy reading, the window's
+//     arrivals and its index) and hands the closed window to one
+//     background task, then goes on staging the next window. The task
+//     fans the shards across core::ParallelRunner — each worker touches
+//     only its own shard's sketches (count-min with conservative update
+//     is order-dependent, so a key's counters are only ever updated AND
+//     queried by the one shard that owns it) — then judges the window
+//     serially in shard order. At most one close is in flight: the next
+//     boundary, finish() and the destructor wait for it, and an exception
+//     the task threw is rethrown there. With jobs <= 1 the close runs
+//     inline.
 //
 // Every detection decision happens at a window boundary from the merged
 // per-shard state, so reports are bit-identical for jobs=1..N by
@@ -28,8 +36,10 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/shard_annotations.hpp"
@@ -81,6 +91,10 @@ struct FlowAnalyzerConfig {
 
   /// Worker threads for window close. Any value yields the same bytes.
   std::size_t jobs = 1;
+
+  /// Throws std::invalid_argument naming the first field that is out of
+  /// range. The analyzer calls it once, at construction.
+  void validate() const;
 };
 
 struct TopEntry {
@@ -112,7 +126,8 @@ struct StreamReport {
   double cusum_statistic = 0.0;
 
   /// Persistent sketch state (the 4 MiB budget) and the peak transient
-  /// ingest-staging footprint, reported separately on purpose.
+  /// ingest-staging footprint (both staging sets: the open window's and
+  /// the one being closed), reported separately on purpose.
   std::size_t memory_bytes = 0;
   std::size_t peak_buffer_bytes = 0;
 
@@ -127,7 +142,12 @@ struct StreamReport {
 
 class FlowStreamAnalyzer {
  public:
+  /// Validates `config` (FlowAnalyzerConfig::validate).
   explicit FlowStreamAnalyzer(FlowAnalyzerConfig config);
+  /// Waits for an in-flight window close; its error, if any, is dropped.
+  ~FlowStreamAnalyzer();
+  FlowStreamAnalyzer(const FlowStreamAnalyzer&) = delete;
+  FlowStreamAnalyzer& operator=(const FlowStreamAnalyzer&) = delete;
 
   /// Feeds one record. Records are windowed by first_ts; a record older
   /// than the open window is folded into the open window (late arrival).
@@ -165,12 +185,27 @@ class FlowStreamAnalyzer {
     std::size_t memory_bytes() const noexcept;
   };
 
+  /// What judge_window reads of the ingest-side state, captured at the
+  /// boundary so ingest can go on while the window is judged.
+  struct WindowClose {
+    core::WindowIndex index = 0;
+    std::uint64_t arrivals = 0;  // packets staged in the window
+    double entropy_bits = 0.0;
+    bool entropy_full = false;
+  };
+
   std::uint32_t shard_of(std::uint32_t key) const noexcept;
-  /// DDPM_SHARD_MERGE: drains the staging buffers into the shard
-  /// sketches (fanned, disjoint per index) and then judges/merges the
-  /// window serially in shard order.
+  /// DDPM_SHARD_MERGE: waits for the previous close, swaps the staging
+  /// sets and hands the closed window to drain_window (inline, or on
+  /// closer_ when jobs > 1).
   DDPM_SHARD_MERGE void close_window();
-  void judge_window(std::uint64_t arrivals);
+  /// DDPM_SHARD_MERGE: drains the closing staging set into the shard
+  /// sketches (fanned, disjoint per index), then judges the window
+  /// serially in shard order and clears the set.
+  DDPM_SHARD_MERGE void drain_window(const WindowClose& window);
+  /// Joins the in-flight close and rethrows its exception, if any.
+  void await_close();
+  void judge_window(const WindowClose& window);
   /// DDPM_SHARD_MERGE: folds the per-shard top-k summaries in shard
   /// order with a total tie-break, so the result is order-stable.
   DDPM_SHARD_MERGE std::vector<TopEntry> merged_top(bool sources,
@@ -185,9 +220,18 @@ class FlowStreamAnalyzer {
   double warmup_sum_ = 0.0;
   core::WindowIndex open_window_ = 0;   // ordinal of the open window
   std::uint64_t win_arrivals_ = 0;      // packets staged in the open window
-  /// DDPM_SHARD_STATE: per-shard ingest staging (drained at window close).
+  /// DDPM_SHARD_STATE: per-shard ingest staging of the open window.
   DDPM_SHARD_STATE std::vector<std::vector<Staged>> src_buf_;
   DDPM_SHARD_STATE std::vector<std::vector<Staged>> dst_buf_;
+  /// DDPM_SHARD_STATE: the spare set — the closed window being drained,
+  /// then empty until the next boundary swaps it back in.
+  DDPM_SHARD_STATE std::vector<std::vector<Staged>> closing_src_;
+  DDPM_SHARD_STATE std::vector<std::vector<Staged>> closing_dst_;
+  /// The in-flight background close (jobs > 1) and the exception it threw.
+  /// While it runs it alone touches shards_, the closing set, the judge
+  /// state and the judged report fields; ingest touches none of them.
+  std::thread closer_;
+  std::exception_ptr close_error_;
   StreamReport report_;
   bool finished_ = false;
 };

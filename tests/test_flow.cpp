@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <charconv>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "flow/csv.hpp"
 #include "flow/record.hpp"
@@ -21,6 +26,155 @@ FlowRecord sample_record() {
   r.proto = 6;
   r.attack = false;
   return r;
+}
+
+// Reference parser: the straightforward implementation of
+// flow::parse_csv_line and flow::read_csv (std::getline, eight
+// std::string scratch slots, unescaping, std::from_chars). Test-only
+// code: it is the oracle the differential tests below hold the in-place
+// block scanner to, line for line and stream for stream.
+namespace oracle {
+
+template <typename T>
+bool parse_field(std::string_view field, T& out) {
+  if (field.empty()) return false;
+  const char* first = field.data();
+  const char* last = first + field.size();
+  const auto [ptr, ec] = std::from_chars(first, last, out);
+  return ec == std::errc{} && ptr == last;
+}
+
+bool take_field(std::string_view& line, bool& more, std::string& scratch,
+                std::string_view& out) {
+  if (!line.empty() && line.front() == '"') {
+    bool escaped = false;
+    std::size_t i = 1;
+    for (; i < line.size(); ++i) {
+      if (line[i] != '"') continue;
+      if (i + 1 < line.size() && line[i + 1] == '"') {
+        escaped = true;
+        ++i;  // consume the doubled quote
+        continue;
+      }
+      break;  // lone quote closes the field
+    }
+    if (i >= line.size()) return false;  // unterminated quote
+    const std::string_view body = line.substr(1, i - 1);
+    const std::string_view rest = line.substr(i + 1);
+    if (!rest.empty() && rest.front() != ',') return false;
+    more = !rest.empty();
+    line = more ? rest.substr(1) : std::string_view{};
+    if (escaped) {
+      scratch.clear();
+      for (std::size_t j = 0; j < body.size(); ++j) {
+        scratch.push_back(body[j]);
+        if (body[j] == '"') ++j;  // collapse the doubling
+      }
+      out = scratch;
+    } else {
+      out = body;
+    }
+    return true;
+  }
+  const std::size_t comma = line.find(',');
+  more = comma != std::string_view::npos;
+  out = more ? line.substr(0, comma) : line;
+  line = more ? line.substr(comma + 1) : std::string_view{};
+  return true;
+}
+
+bool parse_csv_line(std::string_view line, FlowRecord& out) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  std::array<std::string, 8> scratch;
+  std::string_view fields[8];
+  bool more = true;
+  for (std::size_t i = 0; i < 8; ++i) {
+    if (!take_field(line, more, scratch[i], fields[i])) return false;
+  }
+  if (more && !line.empty()) return false;
+  FlowRecord r;
+  std::uint32_t proto = 0;
+  if (!parse_field(fields[0], r.src) || !parse_field(fields[1], r.dst) ||
+      !parse_field(fields[2], r.bytes) || !parse_field(fields[3], r.packets) ||
+      !parse_field(fields[4], r.first_ts) ||
+      !parse_field(fields[5], r.last_ts) || !parse_field(fields[6], proto) ||
+      proto > 255 || fields[7].empty()) {
+    return false;
+  }
+  r.proto = static_cast<std::uint8_t>(proto);
+  r.attack = fields[7] != kBenignLabel;
+  out = r;
+  return true;
+}
+
+CsvStats read_csv(std::istream& in, const RecordSink& sink) {
+  CsvStats stats;
+  std::string line;
+  bool first_line = true;
+  netsim::SimTime prev_ts = 0;
+  while (std::getline(in, line)) {
+    std::string_view view(line);
+    if (!view.empty() && view.back() == '\r') view.remove_suffix(1);
+    if (first_line) {
+      first_line = false;
+      if (view == kCsvHeader) {
+        stats.header_ok = true;
+        continue;
+      }
+    }
+    if (view.empty()) continue;
+    ++stats.lines;
+    FlowRecord record;
+    if (!oracle::parse_csv_line(view, record)) {
+      ++stats.malformed;
+      continue;
+    }
+    if (stats.records > 0 && record.first_ts < prev_ts) ++stats.out_of_order;
+    prev_ts = record.first_ts;
+    ++stats.records;
+    if (sink) sink(record);
+  }
+  return stats;
+}
+
+}  // namespace oracle
+
+/// Deterministic xorshift64 stream for the fuzzers below.
+struct Xorshift {
+  std::uint64_t x = 0x2545F4914F6CDD1Dull;
+  std::uint64_t operator()() {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  }
+  std::size_t below(std::size_t n) { return std::size_t((*this)() % n); }
+};
+
+struct ReadResult {
+  CsvStats stats;
+  std::vector<FlowRecord> records;
+  bool eof = false;
+};
+
+ReadResult read_with(CsvStats (*reader)(std::istream&, const RecordSink&),
+                     const std::string& text) {
+  std::istringstream in(text);
+  ReadResult out;
+  out.stats = reader(in, [&](const FlowRecord& r) { out.records.push_back(r); });
+  out.eof = in.eof();
+  return out;
+}
+
+/// Reads `text` with the production scanner and the oracle; both must
+/// agree on every statistic and every record, and leave the stream at EOF.
+ReadResult expect_reader_matches_oracle(const std::string& text) {
+  const ReadResult got = read_with(&read_csv, text);
+  const ReadResult want = read_with(&oracle::read_csv, text);
+  EXPECT_EQ(got.stats, want.stats);
+  EXPECT_EQ(got.records, want.records);
+  EXPECT_TRUE(got.eof);
+  return got;
 }
 
 TEST(CsvParse, RoundTripsOneLine) {
@@ -225,6 +379,244 @@ TEST(CsvFuzz, GenerateWriteParseRoundTripsByteIdentically) {
   std::ostringstream os2;
   write_csv(os2, parsed);
   EXPECT_EQ(os.str(), os2.str());
+}
+
+/// A valid line with independently drawn fields, in the shapes real
+/// exporters emit (plain, quoted, padded with leading zeros).
+std::vector<std::string> valid_fields(Xorshift& rng) {
+  std::vector<std::string> f;
+  for (int i = 0; i < 7; ++i) {
+    std::uint64_t v = rng();
+    if (i < 2 || i == 3) v &= 0xffff'ffffull;  // 32-bit src, dst, packets
+    if (i == 6) v %= 256;                     // proto
+    if (rng.below(3) == 0) v %= 1000;
+    f.push_back(std::to_string(v));
+  }
+  static constexpr std::string_view kLabels[] = {"BENIGN", "ATTACK", "DDoS",
+                                                 "BENIGNX", "B"};
+  f.emplace_back(kLabels[rng.below(std::size(kLabels))]);
+  return f;
+}
+
+/// Field values at the edges of what the numeric columns accept.
+constexpr std::string_view kEdgeValues[] = {
+    "0000000000000000000000042",  // 25 digits, leading zeros
+    "0000000000000000000000000",
+    "18446744073709551615",       // UINT64_MAX
+    "18446744073709551616",       // UINT64_MAX + 1
+    "000018446744073709551615",
+    "4294967295",                 // UINT32_MAX
+    "4294967296",                 // 32-bit overflow
+    "256",                        // proto overflow
+    "255",
+    "00256",
+    "+5",
+    "-0",
+    " 7",
+    "7 ",
+    "",
+    "\"12\"",
+    "\"1\"\"2\"",
+    "\"\"",
+    "\"BENIGN\"",
+    "\"BEN\"\"IGN\"",
+    "\"a,b\"",
+    "\"",
+};
+
+std::string join_fields(const std::vector<std::string>& f) {
+  std::string line;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    if (i != 0) line += ',';
+    line += f[i];
+  }
+  return line;
+}
+
+/// One fuzz line: random text over the CSV alphabet, or a valid line with
+/// an edge value spliced in and/or a byte-level mutation.
+std::string fuzz_line(Xorshift& rng) {
+  static constexpr std::string_view kAlphabet = "0123456789,\"\r +-BENIGATCKD";
+  if (rng.below(4) == 0) {
+    std::string line(rng.below(48), ' ');
+    for (char& c : line) c = kAlphabet[rng.below(kAlphabet.size())];
+    return line;
+  }
+  std::vector<std::string> f = valid_fields(rng);
+  for (std::size_t edits = rng.below(3); edits > 0; --edits) {
+    f[rng.below(f.size())] = kEdgeValues[rng.below(std::size(kEdgeValues))];
+  }
+  if (rng.below(4) == 0) f.emplace_back(rng.below(2) ? "" : "x");
+  std::string line = join_fields(f);
+  switch (rng.below(6)) {
+    case 0:  // replace a byte
+      if (!line.empty()) {
+        line[rng.below(line.size())] = kAlphabet[rng.below(kAlphabet.size())];
+      }
+      break;
+    case 1:  // insert a byte
+      line.insert(line.begin() + std::ptrdiff_t(rng.below(line.size() + 1)),
+                  kAlphabet[rng.below(kAlphabet.size())]);
+      break;
+    case 2:  // delete a byte
+      if (!line.empty()) line.erase(rng.below(line.size()), 1);
+      break;
+    case 3:
+      line += '\r';
+      break;
+    default:
+      break;
+  }
+  return line;
+}
+
+TEST(CsvReaderFuzz, ParserMatchesOracleOnEveryLine) {
+  Xorshift rng;
+  std::uint64_t accepted = 0;
+  constexpr int kLines = 150'000;
+  for (int n = 0; n < kLines; ++n) {
+    const std::string line = fuzz_line(rng);
+    FlowRecord got;
+    FlowRecord want;
+    const bool got_ok = parse_csv_line(line, got);
+    const bool want_ok = oracle::parse_csv_line(line, want);
+    ASSERT_EQ(got_ok, want_ok) << "line: " << line;
+    if (want_ok) {
+      ASSERT_EQ(got, want) << "line: " << line;
+      ++accepted;
+    }
+  }
+  // Both verdicts are well represented, so neither side is vacuous.
+  EXPECT_GT(accepted, std::uint64_t(kLines / 10));
+  EXPECT_LT(accepted, std::uint64_t(kLines * 9 / 10));
+}
+
+TEST(CsvReaderFuzz, NumericEdgesMatchFromChars) {
+  const std::string tail = ",2,3,4,5,6,17,BENIGN";
+  for (const std::string_view v : kEdgeValues) {
+    for (const std::string& line :
+         {std::string(v) + tail, "1,2," + std::string(v) + ",4,5,6,17,BENIGN",
+          "1,2,3,4,5,6," + std::string(v) + ",BENIGN"}) {
+      FlowRecord got;
+      FlowRecord want;
+      const bool want_ok = oracle::parse_csv_line(line, want);
+      ASSERT_EQ(parse_csv_line(line, got), want_ok) << line;
+      if (want_ok) {
+        EXPECT_EQ(got, want) << line;
+      }
+    }
+  }
+  FlowRecord r;
+  EXPECT_TRUE(parse_csv_line("1,2,0000000000000000000000042,4,5,6,17,B", r));
+  EXPECT_EQ(r.bytes, 42u);
+  EXPECT_TRUE(parse_csv_line("1,2,18446744073709551615,4,5,6,17,B", r));
+  EXPECT_EQ(r.bytes, UINT64_MAX);
+  EXPECT_FALSE(parse_csv_line("1,2,18446744073709551616,4,5,6,17,B", r));
+  EXPECT_FALSE(parse_csv_line("4294967296,2,3,4,5,6,17,B", r));
+  EXPECT_FALSE(parse_csv_line("1,2,3,4,5,6,256,B", r));
+}
+
+/// Records with varied field widths, so line ends fall on every offset.
+std::string csv_lines(std::size_t n, std::uint64_t seed) {
+  Xorshift rng{seed};
+  std::string text;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::string> f = valid_fields(rng);
+    f[4] = std::to_string(i * 3);  // first_ts, mostly in order
+    if (i % 50 == 7) f[4] = "1";   // and the odd straggler
+    text += join_fields(f);
+    text += (i % 5 == 0) ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+constexpr std::size_t kBlock = std::size_t{64} << 10;  // the scanner's block
+
+TEST(CsvReader, LargeInputAcrossBlockEdges) {
+  const std::string header = std::string(kCsvHeader) + "\n";
+  // A first data line whose '\n' lands just before, on, and just after the
+  // first block edge; the \r\n pair straddles the edge when shift == 0.
+  const std::string prefix = "1,2,3,4,5,6,17,";
+  for (const int shift : {-2, -1, 0, 1, 2}) {
+    const std::size_t label =
+        kBlock + std::size_t(shift) - header.size() - prefix.size() - 1;
+    std::string text = header + prefix + std::string(label, 'A') + "\r\n";
+    ASSERT_EQ(text.size(), kBlock + std::size_t(shift) + 1);
+    text += csv_lines(4'000, 11 + std::uint64_t(shift));
+    ASSERT_GT(text.size(), 2 * kBlock);
+    const ReadResult r = expect_reader_matches_oracle(text);
+    EXPECT_TRUE(r.stats.header_ok);
+    EXPECT_EQ(r.stats.lines, 4'001u);
+    EXPECT_EQ(r.stats.records, 4'001u);
+    EXPECT_EQ(r.stats.malformed, 0u);
+    // 80 stragglers, plus the first generated line (ts 0) after the
+    // padded one (ts 5).
+    EXPECT_EQ(r.stats.out_of_order, 81u);
+    EXPECT_TRUE(r.records.front().attack);
+  }
+}
+
+TEST(CsvReader, CrlfAndNoFinalNewline) {
+  const std::string text = std::string(kCsvHeader) +
+                           "\r\n1,2,3,4,5,6,17,BENIGN\r\n9,8,7,6,5,4,3,DDoS";
+  const ReadResult r = expect_reader_matches_oracle(text);
+  EXPECT_TRUE(r.stats.header_ok);
+  EXPECT_EQ(r.stats, (CsvStats{2, 2, 0, 0, true}));
+  ASSERT_EQ(r.records.size(), 2u);
+  EXPECT_FALSE(r.records[0].attack);
+  EXPECT_TRUE(r.records[1].attack);
+  EXPECT_EQ(r.records[1].src, 9u);
+  // A final line cut off after its '\r' is still one record.
+  const ReadResult cut =
+      expect_reader_matches_oracle("1,2,3,4,5,6,17,BENIGN\r");
+  EXPECT_EQ(cut.stats, (CsvStats{1, 1, 0, 0, false}));
+}
+
+TEST(CsvReader, LineLongerThanTheBlock) {
+  const std::string long_label(3 * kBlock + 17, 'Z');
+  const std::string text = std::string(kCsvHeader) + "\n1,2,3,4,5,6,17," +
+                           long_label + "\n" + std::string(2 * kBlock, '9') +
+                           "\n4,5,6,7,8,9,10,BENIGN";
+  const ReadResult r = expect_reader_matches_oracle(text);
+  EXPECT_EQ(r.stats, (CsvStats{3, 2, 1, 0, true}));
+  ASSERT_EQ(r.records.size(), 2u);
+  EXPECT_TRUE(r.records[0].attack);
+  EXPECT_EQ(r.records[1].src, 4u);
+}
+
+TEST(CsvReader, HeaderOnlyHeaderlessAndBlankLines) {
+  EXPECT_EQ(expect_reader_matches_oracle(std::string(kCsvHeader)).stats,
+            (CsvStats{0, 0, 0, 0, true}));
+  EXPECT_EQ(expect_reader_matches_oracle(std::string(kCsvHeader) + "\r\n")
+                .stats,
+            (CsvStats{0, 0, 0, 0, true}));
+  EXPECT_EQ(expect_reader_matches_oracle("").stats, CsvStats{});
+  // Headerless: the first line is data.
+  const ReadResult headerless = expect_reader_matches_oracle(
+      "1,2,3,4,50,6,17,BENIGN\n1,2,3,4,40,6,17,BENIGN\n");
+  EXPECT_EQ(headerless.stats, (CsvStats{2, 2, 0, 1, false}));
+  // Blank lines are skipped, but only the very first line can be the
+  // header: after a leading blank line the header row is a bad data line.
+  const ReadResult blanks = expect_reader_matches_oracle(
+      "\n" + std::string(kCsvHeader) +
+      "\n\n\r\n1,2,3,4,5,6,17,BENIGN\n\n");
+  EXPECT_EQ(blanks.stats, (CsvStats{2, 1, 1, 0, false}));
+  const ReadResult blank_tail = expect_reader_matches_oracle(
+      std::string(kCsvHeader) + "\n1,2,3,4,5,6,17,BENIGN\n\n\n\r\n");
+  EXPECT_EQ(blank_tail.stats, (CsvStats{1, 1, 0, 0, true}));
+}
+
+TEST(CsvReader, FuzzedStreamsMatchOracle) {
+  Xorshift rng{0x9e3779b97f4a7c15ull};
+  for (int trial = 0; trial < 40; ++trial) {
+    std::string text = rng.below(2) ? std::string(kCsvHeader) + "\n" : "";
+    const std::size_t lines = 1 + rng.below(trial < 4 ? 6'000 : 200);
+    for (std::size_t i = 0; i < lines; ++i) {
+      text += fuzz_line(rng);
+      if (i + 1 < lines || rng.below(2)) text += '\n';
+    }
+    expect_reader_matches_oracle(text);
+  }
 }
 
 TEST(TraceGen, DeterministicAcrossInstances) {
