@@ -24,10 +24,6 @@ class AdaptiveRouter : public Router {
 
   std::string name() const override { return "adaptive"; }
   bool is_deterministic() const noexcept override { return false; }
-  // Productive ports are a pure function of the coordinate delta, emitted
-  // in ascending dimension order (inherited by the misrouting variant,
-  // whose `candidates` is the same minimal set).
-  bool has_static_candidates() const noexcept override { return true; }
 
   /// Every productive (distance-reducing) port.
   PortList candidates(NodeId current, NodeId dest,

@@ -96,15 +96,6 @@ class Router {
     return {};
   }
 
-  /// True iff `candidates` depends only on (current, dest) — never on
-  /// arrived_on or mutable router state — AND returns ports in strictly
-  /// ascending order. Such candidate sets can be snapshotted into flat
-  /// per-(node, dest) tables at network construction (the wormhole
-  /// substrate does) with byte-identical routing behaviour. Leave false
-  /// when unsure: false only costs the precompute, true wrongly claims
-  /// arrival-invariance the tables would then bake in.
-  virtual bool has_static_candidates() const noexcept { return false; }
-
   /// Picks the output port: the usable preferred candidate with the lowest
   /// congestion (random tie-break), falling back to misroute candidates
   /// when all preferred ports are unusable. Returns nullopt when every

@@ -106,10 +106,13 @@ struct CoordHash {
 /// rule (docs/STATIC_ANALYSIS.md): ad-hoc wraparound math is exactly the
 /// class of bug the ddpm_verify invariant checker otherwise catches late.
 constexpr int ring_shortest_delta(int a, int b, int k) noexcept {
-  // The audited wrap helper is the one sanctioned home for this modulo;
-  // hot callers reach it through precomputed route/neighbor tables.
-  const int delta = ((b - a) % k + k) % k;  // ddpm-analyze: allow(hot-no-div)
-  return delta > k / 2 ? delta - k : delta;
+  DDPM_DCHECK(k >= 1 && a >= 0 && a < k && b >= 0 && b < k,
+              "ring_shortest_delta: coordinate outside [0, k)");
+  // Division-free: with a, b in [0, k), b - a is in (-k, k), so one
+  // conditional add reduces it to [0, k).
+  int delta = b - a;
+  if (delta < 0) delta += k;
+  return 2 * delta > k ? delta - k : delta;
 }
 
 }  // namespace ddpm::topo

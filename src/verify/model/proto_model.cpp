@@ -153,8 +153,8 @@ bool ProtoModel::try_allocate(ModelState& s, NodeId node, int in_port,
       in_port == ports_ ? route::kLocalPort : Port(in_port);
 
   // 1. Adaptive VCs on any candidate port: most downstream credits wins,
-  //    first wins ties, in the router's candidate order (identical to the
-  //    real engine whichever of its two routing paths is live).
+  //    first wins ties, in the router's candidate order (as the real
+  //    engine does).
   Port best_port = -1;
   int best_vc = -1;
   int best_credits = 0;
@@ -270,7 +270,7 @@ void ProtoModel::step(ModelState& s) const {
         const ModelFlit flit = s.queue[gi].front();
         s.queue[gi].erase(s.queue[gi].begin());
         // The off-by-one mutation clamps instead of underflowing, exactly
-        // as the hooked real engines do.
+        // as the hooked real engine does.
         if (s.credits[oi] > 0) --s.credits[oi];
         restore_credit(s, node, int(unit) / vcs_, int(unit) % vcs_);
         const NodeId next = link_neighbor(node, out_port);

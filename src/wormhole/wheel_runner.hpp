@@ -9,7 +9,7 @@
 // self-rescheduling event with a fixed period — exactly the regular
 // cadence the wheel's bucket path handles in O(1), never touching its
 // overflow heap (tests/test_event_wheel.cpp asserts this) — so a
-// million-cycle run adds no O(log n) sift cost on top of the SoA engine's
+// million-cycle run adds no O(log n) sift cost on top of the engine's
 // per-step work.
 #pragma once
 

@@ -86,5 +86,25 @@ TEST(Coord, UsableAsUnorderedMapKey) {
   EXPECT_EQ(set.size(), 2u);
 }
 
+TEST(RingShortestDelta, MatchesTheModularFormulaExhaustively) {
+  // The division-free helper against the modular formula it replaced,
+  // kept here as the oracle, over every ring size up to 64 and every
+  // coordinate pair in [0, k).
+  const auto oracle = [](int a, int b, int k) {
+    const int delta = ((b - a) % k + k) % k;
+    return delta > k / 2 ? delta - k : delta;
+  };
+  for (int k = 1; k <= 64; ++k) {
+    for (int a = 0; a < k; ++a) {
+      for (int b = 0; b < k; ++b) {
+        ASSERT_EQ(ring_shortest_delta(a, b, k), oracle(a, b, k))
+            << "k=" << k << " a=" << a << " b=" << b;
+      }
+    }
+  }
+  static_assert(ring_shortest_delta(0, 4, 8) == 4, "ties go positive");
+  static_assert(ring_shortest_delta(0, 6, 8) == -2, "wrap is shorter");
+}
+
 }  // namespace
 }  // namespace ddpm::topo

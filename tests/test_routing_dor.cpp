@@ -124,17 +124,110 @@ TEST(DimensionOrder, NoCandidatesAtDestination) {
   EXPECT_TRUE(router.candidates(5, 5, kLocalPort).empty());
 }
 
-TEST(ProductiveDirection, MeshAndTorusSemantics) {
+TEST(ProductiveMask, MeshTorusAndHypercubeSemantics) {
   const topo::Mesh mesh({8, 8});
   const topo::LinkTable& m = mesh.link_table();
-  EXPECT_EQ(productive_direction(m, 0, 2, 5), +1);
-  EXPECT_EQ(productive_direction(m, 0, 5, 2), -1);
-  EXPECT_EQ(productive_direction(m, 0, 3, 3), 0);
+  const auto mesh_mask = [&](Coord a, Coord b) {
+    return productive_mask(m, mesh.id_of(a), mesh.id_of(b));
+  };
+  EXPECT_EQ(mesh_mask({2, 0}, {5, 0}), 0b0010u);  // +x
+  EXPECT_EQ(mesh_mask({5, 0}, {2, 0}), 0b0001u);  // -x
+  EXPECT_EQ(mesh_mask({3, 0}, {3, 0}), 0u);
+  EXPECT_EQ(mesh_mask({1, 1}, {3, 0}), 0b0110u);  // +x and -y
   const topo::Torus torus({8, 8});
   const topo::LinkTable& t = torus.link_table();
-  EXPECT_EQ(productive_direction(t, 0, 0, 6), -1);  // wrap is shorter
-  EXPECT_EQ(productive_direction(t, 0, 0, 3), +1);
-  EXPECT_EQ(productive_direction(t, 0, 0, 4), +1);  // tie goes positive
+  const auto torus_mask = [&](Coord a, Coord b) {
+    return productive_mask(t, torus.id_of(a), torus.id_of(b));
+  };
+  EXPECT_EQ(torus_mask({0, 0}, {6, 0}), 0b0001u);  // wrap is shorter
+  EXPECT_EQ(torus_mask({0, 0}, {3, 0}), 0b0010u);
+  EXPECT_EQ(torus_mask({0, 0}, {4, 0}), 0b0010u);  // tie goes positive
+  EXPECT_EQ(torus_mask({0, 7}, {0, 4}), 0b0100u);  // -y, not the wrap
+  const topo::Hypercube cube(5);
+  EXPECT_EQ(productive_mask(cube.link_table(), 0b00110, 0b10011), 0b10101u);
+}
+
+// The parent formulas, kept verbatim as the oracle for the mask-based
+// productive_ports and dimension-order candidates: a per-dimension
+// direction over the modular ring delta.
+int oracle_ring_delta(int a, int b, int k) {
+  const int delta = ((b - a) % k + k) % k;
+  return delta > k / 2 ? delta - k : delta;
+}
+
+int oracle_direction(const topo::LinkTable& table, std::size_t d, int a,
+                     int b) {
+  if (a == b) return 0;
+  if (table.kind() == topo::TopologyKind::kTorus) {
+    return oracle_ring_delta(a, b, table.radix(d)) > 0 ? +1 : -1;
+  }
+  return b > a ? +1 : -1;
+}
+
+Port oracle_port(std::size_t dim, int dir) {
+  return static_cast<Port>(2 * dim + (dir > 0 ? 1 : 0));
+}
+
+PortList oracle_productive_ports(const topo::LinkTable& table,
+                                 topo::NodeId current, topo::NodeId target) {
+  PortList out;
+  if (current == target) return out;
+  if (table.kind() == topo::TopologyKind::kHypercube) {
+    const topo::NodeId diff = current ^ target;
+    for (Port p = 0; p < table.num_ports(); ++p) {
+      if (diff & (topo::NodeId(1) << p)) out.push_back(p);
+    }
+    return out;
+  }
+  const Coord& a = table.coord(current);
+  const Coord& b = table.coord(target);
+  for (std::size_t d = 0; d < table.num_dims(); ++d) {
+    const int dir = oracle_direction(table, d, a[d], b[d]);
+    if (dir != 0) out.push_back(oracle_port(d, dir));
+  }
+  return out;
+}
+
+PortList oracle_dor_candidates(const topo::LinkTable& table,
+                               topo::NodeId current, topo::NodeId dest) {
+  if (current == dest) return {};
+  if (table.kind() == topo::TopologyKind::kHypercube) {
+    const topo::NodeId diff = current ^ dest;
+    for (Port p = 0; p < table.num_ports(); ++p) {
+      if (diff & (topo::NodeId(1) << p)) return {p};
+    }
+    return {};
+  }
+  const Coord& a = table.coord(current);
+  const Coord& b = table.coord(dest);
+  for (std::size_t d = 0; d < table.num_dims(); ++d) {
+    const int dir = oracle_direction(table, d, a[d], b[d]);
+    if (dir != 0) return {oracle_port(d, dir)};
+  }
+  return {};
+}
+
+TEST(ProductiveMask, AllPairsMatchTheDirectionOracle) {
+  for (const char* spec :
+       {"mesh:5x4", "torus:5x5", "torus:6x4", "torus:4x4x4", "hypercube:5"}) {
+    const auto topo = topo::make_topology(spec);
+    const topo::LinkTable& table = topo->link_table();
+    const DimensionOrderRouter dor(*topo);
+    for (topo::NodeId s = 0; s < table.num_nodes(); ++s) {
+      for (topo::NodeId d = 0; d < table.num_nodes(); ++d) {
+        const PortList want = oracle_productive_ports(table, s, d);
+        ASSERT_EQ(productive_ports(table, s, d), want)
+            << spec << ' ' << s << "->" << d;
+        std::uint32_t want_mask = 0;
+        for (const Port p : want) want_mask |= std::uint32_t(1) << p;
+        ASSERT_EQ(productive_mask(table, s, d), want_mask)
+            << spec << ' ' << s << "->" << d;
+        ASSERT_EQ(dor.candidates(s, d, kLocalPort),
+                  oracle_dor_candidates(table, s, d))
+            << spec << ' ' << s << "->" << d;
+      }
+    }
+  }
 }
 
 }  // namespace

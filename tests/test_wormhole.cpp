@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
-
-#include "telemetry/registry.hpp"
 
 #include "topology/coord.hpp"
 
@@ -315,148 +314,74 @@ TEST(Wormhole, InterleavedFlowsDoNotCorruptPackets) {
   EXPECT_EQ(correct, 100);
 }
 
-// -- route-table byte-identity ---------------------------------------------
-// The precomputed tables (escape next hop, adaptive candidate bitmasks,
-// neighbor/wrap caches) are an optimization only: every routing decision,
-// and therefore every delivered byte, must match the virtual-dispatch
-// reference path exactly. Full per-packet evidence: delivery order, hop
-// count, delivery cycle, final marking field, and the complete node trace.
+// -- configuration boundary -------------------------------------------------
+// WormholeConfig::validate runs once in the constructor; a bad value is an
+// std::invalid_argument naming the field, never a crash or a silent
+// fallback.
 
-struct DeliveryEvidence {
-  NodeId at;
-  NodeId true_source;
-  std::uint32_t hops;
-  std::uint64_t delivered_at;
-  std::uint16_t marking;
-  std::vector<NodeId> trace;
-
-  bool operator==(const DeliveryEvidence&) const = default;
-};
-
-std::vector<DeliveryEvidence> run_traced_scenario(
-    const char* spec, const char* router_name, bool use_tables,
-    bool use_soa = true, std::string* telemetry_csv = nullptr) {
+void expect_rejected(const char* spec, const WormholeConfig& config,
+                     const std::string& field) {
   const auto topo = topo::make_topology(spec);
-  const auto router = route::make_router(router_name, *topo);
-  mark::DdpmScheme scheme(*topo);
-  WormholeConfig config;
-  config.use_route_tables = use_tables;
-  config.use_soa_engine = use_soa;
-  WormholeNetwork net(*topo, *router, &scheme, config);
-  EXPECT_EQ(net.using_route_tables(), use_tables);
-  EXPECT_EQ(net.using_soa_engine(), use_soa);
-  telemetry::Registry registry;
-  if (telemetry_csv != nullptr) net.bind_telemetry(&registry);
-  std::vector<DeliveryEvidence> evidence;
-  net.set_delivery_hook([&](pkt::Packet&& p, NodeId at) {
-    evidence.push_back(DeliveryEvidence{at, p.true_source, p.hops,
-                                        p.delivered_at, p.marking_field(),
-                                        p.trace});
-  });
-  netsim::Rng rng(17);
-  for (int i = 0; i < 400; ++i) {
-    const auto s = NodeId(rng.next_below(topo->num_nodes()));
-    auto d = NodeId(rng.next_below(topo->num_nodes()));
-    if (d == s) d = (d + 1) % topo->num_nodes();
-    auto p = make_packet(*topo, s, d);
-    p.trace.push_back(s);  // opt into per-hop path tracing
-    net.inject(std::move(p), s);
-  }
-  EXPECT_TRUE(net.drain(2000000)) << spec << " " << router_name
-                                  << " tables=" << use_tables
-                                  << " soa=" << use_soa;
-  EXPECT_EQ(evidence.size(), 400u);
-  if (telemetry_csv != nullptr) *telemetry_csv = registry.snapshot().to_csv();
-  return evidence;
-}
-
-TEST(Wormhole, RouteTablesAreByteIdenticalToVirtualPath) {
-  for (const char* spec : {"mesh:8x8", "torus:4x4"}) {
-    for (const char* router_name : {"dor", "adaptive"}) {
-      const auto fast = run_traced_scenario(spec, router_name, true);
-      const auto reference = run_traced_scenario(spec, router_name, false);
-      ASSERT_EQ(fast.size(), reference.size()) << spec << " " << router_name;
-      for (std::size_t i = 0; i < fast.size(); ++i) {
-        EXPECT_EQ(fast[i], reference[i])
-            << spec << " " << router_name << " packet " << i << " diverged "
-            << "(delivered at " << fast[i].at << " vs " << reference[i].at
-            << ", hops " << fast[i].hops << " vs " << reference[i].hops
-            << ")";
-      }
-    }
-  }
-}
-
-// -- SoA-engine byte-identity ----------------------------------------------
-// The structure-of-arrays engine replaces the object-graph inner loop with
-// flat control records and occupancy/request bitmasks. Like the route
-// tables it is an optimization only: delivery evidence AND the telemetry
-// stream (every probe firing, including stall probes on skipped arbitration
-// candidates and buffer-depth histogram samples) must match the legacy
-// engine exactly — bitmask iteration order is ascending precisely so that
-// same-cycle credit visibility and VC-claim ordering replay bit for bit.
-
-TEST(Wormhole, SoaEngineIsByteIdenticalToLegacyPath) {
-  for (const char* spec : {"mesh:8x8", "torus:4x4"}) {
-    for (const char* router_name : {"dor", "adaptive"}) {
-      std::string soa_csv;
-      std::string ref_csv;
-      const auto soa =
-          run_traced_scenario(spec, router_name, true, true, &soa_csv);
-      const auto reference =
-          run_traced_scenario(spec, router_name, true, false, &ref_csv);
-      ASSERT_EQ(soa.size(), reference.size()) << spec << " " << router_name;
-      for (std::size_t i = 0; i < soa.size(); ++i) {
-        EXPECT_EQ(soa[i], reference[i])
-            << spec << " " << router_name << " packet " << i << " diverged "
-            << "(delivered at " << soa[i].at << " vs " << reference[i].at
-            << ", hops " << soa[i].hops << " vs " << reference[i].hops
-            << ")";
-      }
-      EXPECT_EQ(soa_csv, ref_csv)
-          << spec << " " << router_name << " telemetry streams diverged";
-    }
-  }
-}
-
-TEST(Wormhole, SoaEngineIsByteIdenticalOnVirtualRoutingPath) {
-  // Cross check: SoA with the route tables off (virtual routing fallback
-  // inside soa_allocate) against the fully-legacy engine.
-  const auto soa = run_traced_scenario("torus:4x4", "adaptive", false, true);
-  const auto reference =
-      run_traced_scenario("torus:4x4", "adaptive", false, false);
-  ASSERT_EQ(soa.size(), reference.size());
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    EXPECT_EQ(soa[i], reference[i]) << "packet " << i << " diverged";
-  }
-}
-
-TEST(Wormhole, SoaEngineRespectsUnitMaskBudget) {
-  // (P+1)*V must fit a 64-bit mask: an adaptive_vcs burst past that budget
-  // has to fall back to the legacy engine — and still deliver.
-  const auto topo = topo::make_topology("mesh:4x4");
   const auto router = route::make_router("adaptive", *topo);
+  try {
+    WormholeNetwork net(*topo, *router, nullptr, config);
+    ADD_FAILURE() << "accepted a config with a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("WormholeConfig: " + field),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Wormhole, RejectsNetworksBeyondTheUnitMaskBudget) {
+  // (P+1)*V input units must fit the 64-bit unit masks; there is no second
+  // engine to hand an oversize network to.
   WormholeConfig config;
   config.adaptive_vcs = 13;  // (4+1)*(13+1) = 70 units > 64
+  expect_rejected("mesh:4x4", config, "adaptive_vcs");
+  config.adaptive_vcs = 11;  // (4+1)*(11+1) = 60 units: fits, and delivers
+  const auto topo = topo::make_topology("mesh:4x4");
+  const auto router = route::make_router("adaptive", *topo);
   WormholeNetwork net(*topo, *router, nullptr, config);
-  EXPECT_FALSE(net.using_soa_engine());
   for (int i = 0; i < 50; ++i) net.inject(make_packet(*topo, 0, 15), 0);
   ASSERT_TRUE(net.drain(1000000));
   EXPECT_EQ(net.delivered(), 50u);
 }
 
-TEST(Wormhole, RouteTablesRespectNodeBudget) {
-  // Over budget -> the network must fall back to the virtual path (and
-  // still work) rather than build O(N^2) tables.
-  const auto topo = topo::make_topology("mesh:4x4");
-  const auto router = route::make_router("adaptive", *topo);
+TEST(WormholeConfigValidate, DefaultsAreValid) {
+  const auto topo = topo::make_topology("torus:8x8");
+  EXPECT_NO_THROW(WormholeConfig{}.validate(*topo));
+}
+
+TEST(WormholeConfigValidate, FlitBytesMustBePositive) {
   WormholeConfig config;
-  config.route_table_max_nodes = 8;  // below the 16 nodes of mesh:4x4
-  WormholeNetwork net(*topo, *router, nullptr, config);
-  EXPECT_FALSE(net.using_route_tables());
-  net.inject(make_packet(*topo, 0, 15), 0);
-  ASSERT_TRUE(net.drain(10000));
-  EXPECT_EQ(net.delivered(), 1u);
+  config.flit_bytes = 0;  // would divide by zero segmenting a packet
+  expect_rejected("mesh:4x4", config, "flit_bytes");
+}
+
+TEST(WormholeConfigValidate, AdaptiveVcsMustLeaveAtLeastOneVc) {
+  WormholeConfig config;
+  config.adaptive_vcs = -1;
+  expect_rejected("mesh:4x4", config, "adaptive_vcs");
+  // No escape layer and no adaptive VC: no lane at all.
+  config.adaptive_vcs = 0;
+  config.disable_escape = true;
+  expect_rejected("torus:4x4", config, "adaptive_vcs");
+  // The escape layer alone is a valid network.
+  config.disable_escape = false;
+  const auto topo = topo::make_topology("torus:4x4");
+  EXPECT_NO_THROW(config.validate(*topo));
+}
+
+TEST(WormholeConfigValidate, BufferFlitsMustFitTheCreditCounters) {
+  WormholeConfig config;
+  config.buffer_flits = 0;
+  expect_rejected("mesh:4x4", config, "buffer_flits");
+  config.buffer_flits = 0x8000;
+  expect_rejected("mesh:4x4", config, "buffer_flits");
+  config.buffer_flits = 0x7fff;
+  const auto topo = topo::make_topology("mesh:4x4");
+  EXPECT_NO_THROW(config.validate(*topo));
 }
 
 }  // namespace
