@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
     results.push_back(bench_schedule_pop(400000, 4));
     results.push_back(bench_churn(10000, 2000000));
     results.push_back(bench_cancel(200000, 4));
-    // 100k cycles ≈ 0.5 s at the SoA engine's rate: long enough that the
+    // 100k cycles ≈ 0.5 s at the engine's rate: long enough that the
     // steps/s figure is stable run to run (at 20k the window was ~0.1 s
     // and the metric swung ±10% with scheduler noise).
     results.push_back(bench_wormhole(100000));

@@ -7,15 +7,15 @@
 // allocation on every per-flit routing decision (the single largest
 // class of hot-no-alloc findings in the analyzer baseline); PortList is
 // an inline array with the same iteration/query surface, so the wormhole
-// loop's cold fallback path and the CDG verifier's exhaustive sweeps pay
-// zero allocator traffic.
+// loop's per-head routing call and the CDG verifier's exhaustive sweeps
+// pay zero allocator traffic.
 //
-// The capacity deliberately matches the wormhole engine's route-table
-// radix guard (`num_ports_ > 32` disables precomputed candidate masks,
-// src/wormhole/wormhole.cpp): no supported topology exceeds 32 ports per
-// switch, and a policy that emitted more would already have broken the
-// mask tables. Overflow is a DDPM_CHECK, not silent truncation — a
-// fabricated port set corrupts routing, it must abort loudly.
+// The capacity is the switch radix bound: no supported topology exceeds
+// 32 ports per switch — a Cartesian topology has 2 * Coord::kMaxDims
+// ports at most, a hypercube kMaxDims — which is also what lets
+// route::productive_mask (routing/dor.hpp) carry one bit per port in 32
+// bits. Overflow is a DDPM_CHECK, not silent truncation — a fabricated
+// port set corrupts routing, it must abort loudly.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,8 @@ class PortList {
   using iterator = topo::Port*;
   using const_iterator = const topo::Port*;
 
-  /// One more than the largest switch radix the wormhole route tables
-  /// accept; see the file comment.
+  /// The largest switch radix of any supported topology; see the file
+  /// comment.
   static constexpr std::size_t kCapacity = 32;
 
   constexpr PortList() noexcept = default;
