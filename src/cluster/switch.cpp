@@ -113,13 +113,17 @@ DDPM_HOT void Switch::start_transmission(Port port) {
                 env_->sim->now(),
                 env_->sim->now() + tx_ticks + env_->link_latency);
   // Link frees up after serialization; the packet lands after propagation.
-  env_->sim->schedule_in(tx_ticks, [this, port]() {
+  auto link_free = [this, port]() {
     ports_[std::size_t(port)].busy = false;
     start_transmission(port);
-  });
+  };
+  auto arrive = [this, port]() { land(port); };
+  // Both captures are byte-copyable: moving them costs no indirect call.
+  static_assert(netsim::InlineAction::is_trivial<decltype(link_free)> &&
+                netsim::InlineAction::is_trivial<decltype(arrive)>);
+  env_->sim->schedule_in(tx_ticks, link_free);
   out.in_flight.push_back(PacketHandle(h));
-  env_->sim->schedule_in(tx_ticks + env_->link_latency,
-                         [this, port]() { land(port); });
+  env_->sim->schedule_in(tx_ticks + env_->link_latency, arrive);
 }
 
 DDPM_HOT void Switch::land(Port port) {

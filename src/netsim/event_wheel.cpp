@@ -22,11 +22,8 @@ EventWheel::EventWheel(std::size_t window) : mask_(window - 1) {
   occ_.assign(window / 64, 0);
 }
 
-DDPM_HOT EventId EventWheel::schedule(SimTime when, Action action) {
-  DDPM_CHECK(when >= cursor_, "event scheduled in the simulated past");
-  const std::uint32_t ticket = acquire_ticket();
+DDPM_HOT EventId EventWheel::enqueue(SimTime when, std::uint32_t ticket) {
   Ticket& slot = tickets_[ticket];
-  slot.action = std::move(action);
   slot.live = true;
   if (when - cursor_ <= mask_) {
     // Near future: O(1) append to the timestamp's bucket. No sequence
@@ -118,33 +115,44 @@ SimTime EventWheel::next_time() {
   return tw < th ? tw : th;  // kNoTime is the max SimTime
 }
 
-DDPM_HOT std::pair<SimTime, EventWheel::Action> EventWheel::pop() {
-  DDPM_CHECK(live_ != 0, "pop on empty wheel");
+DDPM_HOT bool EventWheel::pop_due(SimTime until, Fired& out) {
+  if (live_ == 0) return false;
   const SimTime tw = wheel_next();
   prune_dead_top();
   // Heap wins ties: its entries for an instant were scheduled while that
   // instant was still out of window, i.e. before any bucket entry for it.
   if (!heap_.empty() && heap_.front().when <= tw) {
     const Entry top = heap_.front();
+    if (top.when > until) return false;
     DDPM_DCHECK(top.when >= cursor_, "event time went backwards");
     cursor_ = top.when;
-    Action action = std::move(tickets_[top.ticket].action);
+    out.when = top.when;
+    out.action = std::move(tickets_[top.ticket].action);
     release_ticket(top.ticket);
     remove_top();
-    --live_;
-    --pending_entries_;
-    return {top.when, std::move(action)};
+  } else {
+    // live_ != 0 and the heap holds nothing earlier: tw is a live bucket.
+    if (tw > until) return false;
+    const std::size_t b = std::size_t(tw) & mask_;
+    Bucket& bk = buckets_[b];
+    const std::uint32_t ticket = bk.tickets[bk.head];
+    ++bk.head;
+    cursor_ = tw;  // slides the window forward
+    out.when = tw;
+    out.action = std::move(tickets_[ticket].action);
+    release_ticket(ticket);
+    if (bk.head == bk.tickets.size()) reset_bucket(b);
   }
-  Bucket& bk = buckets_[std::size_t(tw) & mask_];
-  const std::uint32_t ticket = bk.tickets[bk.head];
-  ++bk.head;
-  cursor_ = tw;  // slides the window forward
-  Action action = std::move(tickets_[ticket].action);
-  release_ticket(ticket);
-  if (bk.head == bk.tickets.size()) reset_bucket(std::size_t(tw) & mask_);
   --live_;
   --pending_entries_;
-  return {tw, std::move(action)};
+  return true;
+}
+
+std::pair<SimTime, EventWheel::Action> EventWheel::pop() {
+  DDPM_CHECK(live_ != 0, "pop on empty wheel");
+  Fired fired;
+  pop_due(kNoTime, fired);
+  return {fired.when, std::move(fired.action)};
 }
 
 void EventWheel::clear() {
@@ -178,12 +186,7 @@ void EventWheel::reserve(std::size_t n) {
   for (Bucket& bk : buckets_) bk.tickets.reserve(depth);
 }
 
-std::uint32_t EventWheel::acquire_ticket() {
-  if (!free_tickets_.empty()) {
-    const std::uint32_t ticket = free_tickets_.back();
-    free_tickets_.pop_back();
-    return ticket;
-  }
+std::uint32_t EventWheel::new_ticket() {
   DDPM_CHECK(tickets_.size() < (std::size_t(1) << 32),
              "event ticket space exhausted");
   tickets_.emplace_back();

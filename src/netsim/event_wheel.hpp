@@ -28,6 +28,9 @@
 // The wheel's next-event scan walks an occupancy bitmap (one bit per
 // bucket, W/64 words, circularly from the cursor), so a sparse queue costs
 // a handful of word tests per pop rather than a bucket-array sweep.
+// pop_due() is the one pop body: a single scan and heap prune both find
+// the earliest event and test it against the caller's horizon, so the
+// Simulator loop pays for them once per event, not twice (peek, then pop).
 #pragma once
 
 #include <cstdint>
@@ -55,9 +58,22 @@ class EventWheel {
   EventWheel(const EventWheel&) = delete;
   EventWheel& operator=(const EventWheel&) = delete;
 
+  /// A popped event: its time and its action (see pop_due).
+  struct Fired {
+    SimTime when = 0;
+    Action action;
+  };
+
   /// Schedules `action` at absolute time `when`. Contract: `when` must not
   /// precede the time of the most recently popped event (checked, fatal).
-  EventId schedule(SimTime when, Action action);
+  /// The callable is built directly in its ticket slot.
+  template <typename F>
+  EventId schedule(SimTime when, F&& action) {
+    DDPM_CHECK(when >= cursor_, "event scheduled in the simulated past");
+    const std::uint32_t ticket = acquire_ticket();
+    tickets_[ticket].action.emplace(std::forward<F>(action));
+    return enqueue(when, ticket);
+  }
 
   /// Cancels a pending event. Returns false if it already fired or was
   /// cancelled. O(1): tombstones the ticket; the bucket/heap entry is
@@ -73,6 +89,14 @@ class EventWheel {
 
   /// Time of the most recently popped event (0 before the first pop).
   SimTime last_popped_time() const noexcept { return cursor_; }
+
+  /// If the earliest pending event is due at or before `until`
+  /// (inclusive), removes it into `out`, advances the clock watermark to
+  /// its time and returns true. Otherwise — including when the wheel is
+  /// empty — leaves `out` untouched and returns false. A heap entry wins a
+  /// same-time tie with a bucket entry; tombstones met on the way are
+  /// released.
+  bool pop_due(SimTime until, Fired& out);
 
   /// Removes the earliest event and returns (time, action).
   /// Precondition: !empty().
@@ -133,8 +157,18 @@ class EventWheel {
     return (EventId(ticket) << 32) | gen;
   }
 
-  std::uint32_t acquire_ticket();
+  std::uint32_t acquire_ticket() {
+    if (!free_tickets_.empty()) [[likely]] {
+      const std::uint32_t ticket = free_tickets_.back();
+      free_tickets_.pop_back();
+      return ticket;
+    }
+    return new_ticket();
+  }
+  std::uint32_t new_ticket();
   void release_ticket(std::uint32_t ticket) noexcept;
+  /// Files a filled ticket under `when`: its bucket, or the overflow heap.
+  EventId enqueue(SimTime when, std::uint32_t ticket);
 
   /// Earliest live bucketed timestamp (pruning dead heads and draining
   /// dead-only buckets along the way), or kNoTime if the wheel is empty.

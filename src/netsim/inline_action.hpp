@@ -10,6 +10,14 @@
 // move-only captures (unique_ptr, Rng by value) work where std::function
 // would reject them.
 //
+// Invoking is one indirect call. Moving and destroying cost nothing extra
+// for the callables the simulator schedules: a trivially copyable,
+// trivially destructible capture (`[this, port]`, `[this]`, `[this, node]`)
+// gets null relocate/destroy entries, so a move copies the fixed-size
+// buffer and a reset only clears the ops pointer. Any other capture
+// (unique_ptr, a counting type) goes through its own move constructor and
+// destructor, exactly once each per hand-off.
+//
 // The contract the event queue relies on:
 //   * construction, move, destruction never allocate and never throw;
 //   * a moved-from InlineAction is empty (operator bool == false);
@@ -17,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -40,6 +49,13 @@ class InlineAction {
       alignof(std::decay_t<F>) <= kInlineAlign &&
       std::is_nothrow_move_constructible_v<std::decay_t<F>>;
 
+  /// True when F moves as a plain byte copy and needs no destructor call:
+  /// the simulator's own captures, which the scheduling sites assert.
+  template <typename F>
+  static constexpr bool is_trivial =
+      std::is_trivially_copyable_v<std::decay_t<F>> &&
+      std::is_trivially_destructible_v<std::decay_t<F>>;
+
   constexpr InlineAction() noexcept = default;
 
   template <typename F,
@@ -47,19 +63,7 @@ class InlineAction {
                 !std::is_same_v<std::decay_t<F>, InlineAction>>>
   InlineAction(F&& f) noexcept(  // NOLINT(google-explicit-constructor)
       std::is_nothrow_constructible_v<std::decay_t<F>, F&&>) {
-    using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_r_v<void, Fn&>,
-                  "InlineAction requires a nullary void() callable");
-    static_assert(sizeof(Fn) <= kInlineSize,
-                  "capture exceeds InlineAction's 48-byte inline buffer; "
-                  "park bulky state (e.g. a Packet) in the owning object "
-                  "and capture a handle to it instead");
-    static_assert(alignof(Fn) <= kInlineAlign,
-                  "capture alignment exceeds InlineAction's buffer");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "InlineAction callables must be nothrow-movable");
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    ops_ = &kOpsFor<Fn>;
+    construct(std::forward<F>(f));
   }
 
   InlineAction(InlineAction&& other) noexcept { take(other); }
@@ -77,10 +81,23 @@ class InlineAction {
 
   ~InlineAction() { reset(); }
 
+  /// Replaces the held callable with `f`, built in place: no temporary
+  /// InlineAction, no relocation. An InlineAction argument is moved in.
+  template <typename F>
+  void emplace(F&& f) noexcept(
+      std::is_nothrow_constructible_v<std::decay_t<F>, F&&>) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineAction>) {
+      *this = std::forward<F>(f);
+    } else {
+      reset();
+      construct(std::forward<F>(f));
+    }
+  }
+
   /// Destroys the held callable (no-op when empty).
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -95,10 +112,27 @@ class InlineAction {
  private:
   struct Ops {
     void (*invoke)(void*);
-    void (*relocate)(void* dst, void* src) noexcept;  // move-construct, then
-                                                      // destroy the source
-    void (*destroy)(void*) noexcept;
+    /// Move-construct at dst, then destroy the source; null = byte copy.
+    void (*relocate)(void* dst, void* src) noexcept;
+    void (*destroy)(void*) noexcept;  // null = trivially destructible
   };
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, Fn&>,
+                  "InlineAction requires a nullary void() callable");
+    static_assert(sizeof(Fn) <= kInlineSize,
+                  "capture exceeds InlineAction's 48-byte inline buffer; "
+                  "park bulky state (e.g. a Packet) in the owning object "
+                  "and capture a handle to it instead");
+    static_assert(alignof(Fn) <= kInlineAlign,
+                  "capture alignment exceeds InlineAction's buffer");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "InlineAction callables must be nothrow-movable");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &kOpsFor<Fn>;
+  }
 
   template <typename Fn>
   static Fn* as(void* p) noexcept {
@@ -121,12 +155,19 @@ class InlineAction {
   }
 
   template <typename Fn>
-  static constexpr Ops kOpsFor{&do_invoke<Fn>, &do_relocate<Fn>,
-                               &do_destroy<Fn>};
+  static constexpr Ops kOpsFor =
+      is_trivial<Fn> ? Ops{&do_invoke<Fn>, nullptr, nullptr}
+                     : Ops{&do_invoke<Fn>, &do_relocate<Fn>, &do_destroy<Fn>};
 
   void take(InlineAction& other) noexcept {
     if (other.ops_ != nullptr) {
-      other.ops_->relocate(storage_, other.storage_);
+      if (other.ops_->relocate != nullptr) {
+        other.ops_->relocate(storage_, other.storage_);
+      } else {
+        // Trivially copyable: the byte copy creates the object (C++20
+        // implicit object creation); `as` launders the pointer.
+        std::memcpy(storage_, other.storage_, kInlineSize);
+      }
       ops_ = other.ops_;
       other.ops_ = nullptr;
     }

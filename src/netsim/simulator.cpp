@@ -4,29 +4,30 @@ namespace ddpm::netsim {
 
 std::uint64_t Simulator::run(SimTime until) {
   std::uint64_t count = 0;
-  while (!queue_.empty() && queue_.next_time() <= until) {
-    auto [when, action] = queue_.pop();
-    now_ = when;
-    action();
+  EventWheel::Fired event;
+  while (queue_.pop_due(until, event)) {
+    now_ = event.when;
+    event.action();
+    event.action.reset();  // captures die as the event finishes
     ++executed_;
     ++count;
     probes_.on_pop(executed_, queue_.size());
   }
-  if (queue_.empty() || queue_.next_time() > until) {
-    // Advance the clock to the horizon so back-to-back run() calls with
-    // increasing horizons behave like one continuous run.
-    if (until != std::numeric_limits<SimTime>::max() && until > now_) {
-      now_ = until;
-    }
+  // Advance the clock to the horizon so back-to-back run() calls with
+  // increasing horizons behave like one continuous run.
+  if (until != std::numeric_limits<SimTime>::max() && until > now_) {
+    now_ = until;
   }
   return count;
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto [when, action] = queue_.pop();
-  now_ = when;
-  action();
+  EventWheel::Fired event;
+  if (!queue_.pop_due(std::numeric_limits<SimTime>::max(), event)) {
+    return false;
+  }
+  now_ = event.when;
+  event.action();
   ++executed_;
   probes_.on_pop(executed_, queue_.size());
   return true;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -161,6 +162,157 @@ TEST(EventWheelDeathTest, SchedulingInTheSimulatedPastIsFatal) {
       "simulated past");
 }
 
+TEST(EventWheelPopDue, FiresAnEventExactlyAtTheHorizonAndKeepsLaterOnes) {
+  EventWheel q;
+  std::vector<int> fired;
+  q.schedule(10, [&] { fired.push_back(10); });
+  q.schedule(20, [&] { fired.push_back(20); });
+  q.schedule(21, [&] { fired.push_back(21); });
+  EventWheel::Fired event;
+  while (q.pop_due(20, event)) event.action();
+  EXPECT_EQ(fired, (std::vector<int>{10, 20}));
+  EXPECT_EQ(event.when, 20u);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.last_popped_time(), 20u) << "a refused pop moves no clock";
+  EXPECT_EQ(q.next_time(), 21u);
+  ASSERT_TRUE(q.pop_due(21, event));
+  event.action();
+  EXPECT_EQ(fired.back(), 21);
+}
+
+TEST(EventWheelPopDue, HeapEntryWinsASameTimeTieWithABucketEntry) {
+  EventWheel q;
+  std::vector<int> fired;
+  q.schedule(2000, [&] { fired.push_back(0); });  // beyond the window: heap
+  q.schedule(1500, [&] { fired.push_back(-1); });
+  EventWheel::Fired event;
+  ASSERT_TRUE(q.pop_due(1500, event));
+  event.action();
+  q.schedule(2000, [&] { fired.push_back(1); });  // now in window: bucket
+  ASSERT_EQ(q.heap_scheduled(), 2u);
+  ASSERT_EQ(q.wheel_scheduled(), 1u);
+  EXPECT_FALSE(q.pop_due(1999, event));
+  while (q.pop_due(2000, event)) event.action();
+  EXPECT_EQ(fired, (std::vector<int>{-1, 0, 1}));
+}
+
+TEST(EventWheelPopDue, SkipsTombstonedBucketHeadsAndHeapTop) {
+  EventWheel q;
+  std::vector<int> fired;
+  const EventId dead_head = q.schedule(5, [&] { fired.push_back(-5); });
+  q.schedule(5, [&] { fired.push_back(5); });
+  const EventId dead_bucket = q.schedule(7, [&] { fired.push_back(-7); });
+  const EventId dead_top = q.schedule(50000, [&] { fired.push_back(-1); });
+  q.schedule(60000, [&] { fired.push_back(60000); });
+  ASSERT_TRUE(q.cancel(dead_head));
+  ASSERT_TRUE(q.cancel(dead_bucket));
+  ASSERT_TRUE(q.cancel(dead_top));
+  EXPECT_EQ(q.tombstone_count(), 3u);
+  EventWheel::Fired event;
+  ASSERT_TRUE(q.pop_due(100000, event));
+  EXPECT_EQ(event.when, 5u);
+  event.action();
+  ASSERT_TRUE(q.pop_due(100000, event));
+  EXPECT_EQ(event.when, 60000u) << "the dead bucket and heap top are skipped";
+  event.action();
+  EXPECT_EQ(fired, (std::vector<int>{5, 60000}));
+  EXPECT_EQ(q.tombstone_count(), 0u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventWheelPopDue, EmptyWheelReturnsNoEventAndLeavesTheOutputAlone) {
+  EventWheel q;
+  EventWheel::Fired event;
+  event.when = 77;
+  EXPECT_FALSE(q.pop_due(~SimTime{0}, event));
+  EXPECT_EQ(event.when, 77u);
+  EXPECT_FALSE(event.action);
+  // Only tombstones pending: still no event.
+  q.cancel(q.schedule(3, [] {}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.pop_due(~SimTime{0}, event));
+  EXPECT_EQ(event.when, 77u);
+}
+
+/// Counts the moves and destructions of the callable it is captured in.
+struct Tally {
+  int moves = 0;
+  int destroys = 0;
+};
+struct Counted {
+  Tally* tally;
+  bool owner = true;
+  explicit Counted(Tally* t) : tally(t) {}
+  Counted(Counted&& other) noexcept : tally(other.tally) {
+    other.owner = false;
+    ++tally->moves;
+  }
+  Counted(const Counted&) = delete;
+  ~Counted() {
+    if (owner) ++tally->destroys;
+  }
+  void operator()() const {}
+};
+
+TEST(InlineAction, CapturesOfTheSimulatorTakeTheTrivialPath) {
+  struct Host {
+    int port = 0;
+  } host;
+  Host* self = &host;
+  const int port = 3;
+  auto pair = [self, port]() { self->port = port; };
+  auto single = [self]() { self->port = 0; };
+  static_assert(InlineAction::is_trivial<decltype(pair)>);
+  static_assert(InlineAction::is_trivial<decltype(single)>);
+  auto owned = std::make_unique<int>(1);
+  auto heavy = [owned = std::move(owned)]() {};
+  static_assert(!InlineAction::is_trivial<decltype(heavy)>);
+  static_assert(!InlineAction::is_trivial<Counted>);
+
+  InlineAction a(pair);
+  InlineAction b(std::move(a));  // byte copy
+  EXPECT_FALSE(a);
+  b();
+  EXPECT_EQ(host.port, 3);
+}
+
+TEST(InlineAction, NonTrivialCapturesMoveAndDieExactlyOnce) {
+  Tally tally;
+  {
+    InlineAction a(Counted{&tally});  // one move into the buffer
+    EXPECT_EQ(tally.moves, 1);
+    EXPECT_EQ(tally.destroys, 0) << "the moved-from temporary owns nothing";
+    InlineAction b(std::move(a));
+    EXPECT_EQ(tally.moves, 2);
+    EXPECT_EQ(tally.destroys, 0);
+    EXPECT_FALSE(a);
+    a = std::move(b);
+    EXPECT_EQ(tally.moves, 3);
+    b.reset();  // empty: nothing to destroy
+    EXPECT_EQ(tally.destroys, 0);
+  }
+  EXPECT_EQ(tally.destroys, 1);
+
+  // Scheduled and fired through the wheel: the one live copy dies with the
+  // fired event, and a unique_ptr capture is released exactly once.
+  Tally wheel_tally;
+  auto owned = std::make_unique<int>(7);
+  int seen = 0;
+  {
+    EventWheel q;
+    q.schedule(4, Counted{&wheel_tally});
+    q.schedule(5, [&seen, owned = std::move(owned)] { seen = *owned; });
+    EventWheel::Fired event;
+    while (q.pop_due(10, event)) {
+      event.action();
+      event.action.reset();
+    }
+    EXPECT_EQ(wheel_tally.destroys, 1);
+  }
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(wheel_tally.destroys, 1);
+}
+
 /// One operation sequence applied to both implementations; every pop must
 /// surface the same (time, token) on both sides.
 void run_differential(std::uint64_t seed, std::uint64_t near_span,
@@ -205,7 +357,26 @@ void run_differential(std::uint64_t seed, std::uint64_t near_span,
       ASSERT_EQ(heap.empty(), wheel.empty());
       ASSERT_EQ(heap.size(), wheel.size());
       if (!heap.empty()) {
-        ASSERT_EQ(heap.next_time(), wheel.next_time());
+        const SimTime due = heap.next_time();
+        ASSERT_EQ(due, wheel.next_time());
+        // Half the pops go through pop_due with a horizon that lands
+        // before, on, or after the earliest event.
+        if (rnd(2) == 0) {
+          const SimTime until = now + rnd(2 * near_span + 2);
+          EventWheel::Fired fired;
+          const bool popped = wheel.pop_due(until, fired);
+          ASSERT_EQ(popped, due <= until) << "horizon " << until;
+          if (!popped) continue;
+          auto [hw, ha] = heap.pop();
+          ASSERT_EQ(hw, fired.when);
+          ha();
+          fired.action();
+          ASSERT_EQ(heap_token, wheel_token)
+              << "same-instant FIFO order diverged at t=" << hw;
+          now = hw;
+          --pending;
+          continue;
+        }
         auto [hw, ha] = heap.pop();
         auto [ww, wa] = wheel.pop();
         ASSERT_EQ(hw, ww);

@@ -129,5 +129,24 @@ TEST(Simulator, HorizonAdvancesClockEvenWithoutEvents) {
   EXPECT_EQ(sim.now(), 1000u);
 }
 
+TEST(Simulator, RunLeavesTheClockAtTheHorizonOrTheLastEvent) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(10, [&] { ++fired; });
+  sim.schedule_at(40, [&] { ++fired; });
+  EXPECT_EQ(sim.run(25), 1u);
+  EXPECT_EQ(sim.now(), 25u) << "pending later event: clock at the horizon";
+  EXPECT_EQ(sim.run(5), 0u);
+  EXPECT_EQ(sim.now(), 25u) << "a horizon in the past never rewinds";
+  sim.schedule_in(5, [&] { ++fired; });  // relative to the advanced clock
+  EXPECT_EQ(sim.run(30), 1u);
+  EXPECT_EQ(sim.now(), 30u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.now(), 40u) << "unbounded run: clock at the last event";
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.run(100), 0u);
+  EXPECT_EQ(sim.now(), 100u) << "drained queue: clock at the horizon";
+}
+
 }  // namespace
 }  // namespace ddpm::netsim
