@@ -12,25 +12,29 @@ std::string to_string(SpoofStrategy strategy) {
   return "unknown";
 }
 
+pkt::Ipv4Address spoofed_source(SpoofStrategy strategy,
+                                const pkt::AddressMap& addresses,
+                                topo::NodeId attacker, topo::NodeId victim,
+                                netsim::Rng& rng) {
+  switch (strategy) {
+    case SpoofStrategy::kNone:
+      return addresses.address_of(attacker);
+    case SpoofStrategy::kRandomCluster:
+      return addresses.address_of(
+          topo::NodeId(rng.next_below(addresses.num_nodes())));
+    case SpoofStrategy::kRandomAny:
+      return pkt::Ipv4Address(rng.next_u64());
+    case SpoofStrategy::kVictimReflect:
+      return addresses.address_of(victim);
+  }
+  return addresses.address_of(attacker);
+}
+
 void apply_spoof(pkt::Packet& packet, SpoofStrategy strategy,
                  const pkt::AddressMap& addresses, topo::NodeId attacker,
                  topo::NodeId victim, netsim::Rng& rng) {
-  switch (strategy) {
-    case SpoofStrategy::kNone:
-      packet.header.set_source(addresses.address_of(attacker));
-      break;
-    case SpoofStrategy::kRandomCluster: {
-      const auto node = topo::NodeId(rng.next_below(addresses.num_nodes()));
-      packet.header.set_source(addresses.address_of(node));
-      break;
-    }
-    case SpoofStrategy::kRandomAny:
-      packet.header.set_source(pkt::Ipv4Address(rng.next_u64()));
-      break;
-    case SpoofStrategy::kVictimReflect:
-      packet.header.set_source(addresses.address_of(victim));
-      break;
-  }
+  packet.header.set_source(
+      spoofed_source(strategy, addresses, attacker, victim, rng));
 }
 
 }  // namespace ddpm::attack

@@ -22,8 +22,17 @@ enum class SpoofStrategy {
 
 std::string to_string(SpoofStrategy strategy);
 
-/// Applies the strategy to the packet's source address. `attacker` is the
-/// real source node, `victim` the target node.
+/// The source address the strategy forges. `attacker` is the real source
+/// node, `victim` the target node. Draws from `rng` exactly as many times
+/// as the strategy needs (random-cluster: one next_below, random-any: one
+/// next_u64, the others none) — a source blocked before its packet is built
+/// calls this too, so its stream stays where the packet would leave it.
+pkt::Ipv4Address spoofed_source(SpoofStrategy strategy,
+                                const pkt::AddressMap& addresses,
+                                topo::NodeId attacker, topo::NodeId victim,
+                                netsim::Rng& rng);
+
+/// Writes spoofed_source(...) into the packet's source address.
 void apply_spoof(pkt::Packet& packet, SpoofStrategy strategy,
                  const pkt::AddressMap& addresses, topo::NodeId attacker,
                  topo::NodeId victim, netsim::Rng& rng);
