@@ -6,30 +6,35 @@
 
 namespace ddpm::route {
 
-namespace {
-
-/// Least-congested usable port from `ports`, random tie-break; nullopt if
-/// none is usable.
 std::optional<Port> pick(const PortList& ports, NodeId current,
                          const LinkStateView& links, netsim::Rng& rng) {
+  // Pass 1 records each candidate's cost (NaN = unusable; NaN never ties)
+  // and counts the ties at the minimum. `best` starts at +inf, so ports at
+  // +inf congestion tie with each other until a finite cost appears.
+  double cost[PortList::kCapacity];
   double best = std::numeric_limits<double>::infinity();
-  PortList best_ports;
-  for (Port p : ports) {
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    const Port p = ports[i];
+    cost[i] = std::numeric_limits<double>::quiet_NaN();
     if (!links.link_usable(current, p)) continue;
     const double c = links.congestion(current, p);
+    cost[i] = c;
     if (c < best) {
       best = c;
-      best_ports.assign(1, p);
+      ties = 1;
     } else if (c == best) {
-      best_ports.push_back(p);
+      ++ties;
     }
   }
-  if (best_ports.empty()) return std::nullopt;
-  if (best_ports.size() == 1) return best_ports.front();
-  return best_ports[rng.next_below(best_ports.size())];
+  if (ties == 0) return std::nullopt;
+  // Pass 2 returns the k-th tie in candidate order; the draw is made only
+  // when there is a choice.
+  std::size_t k = ties == 1 ? 0 : std::size_t(rng.next_below(ties));
+  for (std::size_t i = 0;; ++i) {
+    if (cost[i] == best && k-- == 0) return ports[i];
+  }
 }
-
-}  // namespace
 
 std::optional<Port> Router::select_output(NodeId current, NodeId dest,
                                           Port arrived_on,

@@ -120,6 +120,14 @@ class Router {
   const topo::LinkTable& table_;
 };
 
+/// Router::select_output's selection step, exposed for tests: the usable
+/// port of `ports` with the lowest congestion, in candidate order; a tie is
+/// broken by one rng.next_below(ties) draw, and no draw is made when only
+/// one port is at the minimum. Ports at +inf congestion tie with each
+/// other. nullopt (and no draw) when no port is usable.
+std::optional<Port> pick(const PortList& ports, NodeId current,
+                         const LinkStateView& links, netsim::Rng& rng);
+
 /// Constructs a router by name. Accepted names:
 ///   "dor" / "xy"      dimension-order (XY on 2-D mesh; e-cube on hypercube)
 ///   "west-first"      turn-model, 2-D mesh only

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "marking/walk.hpp"
@@ -174,6 +177,99 @@ TEST(RouterFactory, BuildsEveryKnownRouter) {
     ASSERT_NE(router, nullptr) << name;
   }
   EXPECT_THROW(make_router("bogus", m), std::invalid_argument);
+}
+
+/// route::pick before it lost its second PortList, kept verbatim as the
+/// oracle: the rewrite must pick the same port with the same draws.
+std::optional<Port> reference_pick(const PortList& ports, NodeId current,
+                                   const LinkStateView& links,
+                                   netsim::Rng& rng) {
+  double best = std::numeric_limits<double>::infinity();
+  PortList best_ports;
+  for (Port p : ports) {
+    if (!links.link_usable(current, p)) continue;
+    const double c = links.congestion(current, p);
+    if (c < best) {
+      best = c;
+      best_ports.assign(1, p);
+    } else if (c == best) {
+      best_ports.push_back(p);
+    }
+  }
+  if (best_ports.empty()) return std::nullopt;
+  if (best_ports.size() == 1) return best_ports.front();
+  return best_ports[rng.next_below(best_ports.size())];
+}
+
+/// Per-port usability and congestion, set directly by the test.
+class TableLinkState final : public LinkStateView {
+ public:
+  bool link_usable(NodeId, Port port) const override {
+    return usable[std::size_t(port)];
+  }
+  double congestion(NodeId, Port port) const override {
+    return cost[std::size_t(port)];
+  }
+  bool usable[PortList::kCapacity] = {};
+  double cost[PortList::kCapacity] = {};
+};
+
+TEST(Pick, MatchesTheTwoListReferenceOnRandomCosts) {
+  // Costs from a small set so ties are common; +inf and NaN congestion and
+  // unusable ports mixed in; lists up to the full radix, duplicates allowed.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double kCosts[] = {0.0, 1.0, 1.0, 2.0, 3.0, inf, inf,
+                           std::numeric_limits<double>::quiet_NaN()};
+  netsim::Rng gen(0x91c4);
+  std::size_t draws = 0;
+  std::size_t nones = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    TableLinkState links;
+    for (std::size_t p = 0; p < PortList::kCapacity; ++p) {
+      links.usable[p] = gen.next_below(5) != 0;
+      links.cost[p] = kCosts[gen.next_below(std::size(kCosts))];
+    }
+    PortList ports;
+    const std::size_t n = gen.next_below(trial % 4 == 0 ? 33 : 9);
+    for (std::size_t i = 0; i < n; ++i) {
+      ports.push_back(Port(gen.next_below(PortList::kCapacity)));
+    }
+    netsim::Rng a(std::uint64_t(trial) * 7919 + 1);
+    netsim::Rng b = a;
+    const auto want = reference_pick(ports, 0, links, a);
+    const auto got = pick(ports, 0, links, b);
+    ASSERT_EQ(got, want) << "trial " << trial;
+    const std::uint64_t next = a.next_u64();
+    ASSERT_EQ(b.next_u64(), next) << "trial " << trial << ": draw count";
+    netsim::Rng untouched(std::uint64_t(trial) * 7919 + 1);
+    draws += untouched.next_u64() != next;
+    nones += !want.has_value();
+  }
+  // The grid reaches every branch: draws, single ties and no usable port.
+  EXPECT_GT(draws, 1000u);
+  EXPECT_GT(nones, 100u);
+}
+
+TEST(Pick, TiesAtInfinityAreBrokenByOneDrawAndAFiniteCostWins) {
+  const double inf = std::numeric_limits<double>::infinity();
+  TableLinkState links;
+  for (std::size_t p = 0; p < 4; ++p) {
+    links.usable[p] = true;
+    links.cost[p] = inf;
+  }
+  netsim::Rng rng(5);
+  netsim::Rng probe = rng;
+  const auto tie = pick({0, 1, 2, 3}, 0, links, rng);
+  ASSERT_TRUE(tie.has_value());
+  EXPECT_EQ(*tie, Port(probe.next_below(4)));
+  links.cost[2] = 9.0;
+  netsim::Rng fixed(5);
+  EXPECT_EQ(pick({0, 1, 2, 3}, 0, links, fixed), Port(2));
+  EXPECT_EQ(fixed.next_u64(), netsim::Rng(5).next_u64())
+      << "a single minimum draws nothing";
+  links.usable[2] = false;
+  links.usable[0] = links.usable[1] = links.usable[3] = false;
+  EXPECT_EQ(pick({0, 1, 2, 3}, 0, links, fixed), std::nullopt);
 }
 
 }  // namespace
