@@ -98,7 +98,6 @@ struct WormholeConfig {
   /// — the experiment that shows the escape machinery is load-bearing.
   bool disable_escape = false;
   std::uint8_t initial_ttl = 255;
-  std::uint64_t seed = 1;
 
   /// Throws std::invalid_argument("WormholeConfig: <field> ...") unless
   /// flit_bytes >= 1, adaptive_vcs >= 0 with at least one VC in total,
