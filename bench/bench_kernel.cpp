@@ -1,10 +1,10 @@
 // Kernel perf harness — the repository's performance trajectory anchor.
 //
-// Measures the discrete-event kernel's hot paths (event schedule/pop/cancel
-// throughput, the wormhole substrate's steps/sec, and an end-to-end sweep
-// cell serial vs parallel) and optionally writes the numbers to
-// BENCH_kernel.json so subsequent changes can regress against them. See
-// docs/PERFORMANCE.md for how to read the output.
+// Measures the discrete-event kernel's hot paths (the event wheel's
+// schedule/pop throughput, the wormhole substrate's steps/sec, and an
+// end-to-end sweep cell serial vs parallel) and optionally writes the
+// numbers to BENCH_kernel.json so subsequent changes can regress against
+// them. See docs/PERFORMANCE.md for how to read the output.
 //
 //   bench_kernel [--json [path]] [--jobs N] [--smoke]
 //
@@ -27,7 +27,7 @@
 #include "attack/traffic.hpp"
 #include "core/sweep_grid.hpp"
 #include "flow/trace_gen.hpp"
-#include "netsim/event_queue.hpp"
+#include "netsim/event_wheel.hpp"
 #include "routing/router.hpp"
 #include "stream/flow_analyzer.hpp"
 #include "stream/sketch.hpp"
@@ -49,7 +49,7 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// xorshift64 — a self-contained time-pattern generator for the queue
+/// xorshift64 — a self-contained time-pattern generator for the wheel
 /// microbenches (deliberately not Rng: the subject under test should not
 /// also supply the workload).
 std::uint64_t next_time_sample(std::uint64_t& x) {
@@ -59,25 +59,29 @@ std::uint64_t next_time_sample(std::uint64_t& x) {
   return x;
 }
 
+/// Rounds of n schedules at random times up to 1M ticks ahead of the clock
+/// (mostly the overflow heap: far timers), each round drained by pops.
 Result bench_schedule_pop(std::size_t n, int rounds) {
-  netsim::EventQueue q;
+  netsim::EventWheel q;
   q.reserve(n);
   std::uint64_t x = 88172645463325252ull;
   std::uint64_t fired = 0;
   const auto start = Clock::now();
   for (int round = 0; round < rounds; ++round) {
+    const netsim::SimTime base = q.last_popped_time();
     for (std::size_t i = 0; i < n; ++i) {
-      q.schedule(next_time_sample(x) % 1000000, [&fired] { ++fired; });
+      q.schedule(base + next_time_sample(x) % 1000000, [&fired] { ++fired; });
     }
     while (!q.empty()) q.pop().second();
-    q.clear();
   }
   const double ops = 2.0 * double(rounds) * double(n);
-  return {"eq_schedule_pop", ops / seconds_since(start), "ops/s"};
+  return {"wheel_schedule_pop", ops / seconds_since(start), "ops/s"};
 }
 
+/// A steady `pending`-event population: each pop reschedules 1-1000 ticks
+/// ahead, so after the first spread-out round the bucket path dominates.
 Result bench_churn(std::size_t pending, std::size_t ops) {
-  netsim::EventQueue q;
+  netsim::EventWheel q;
   q.reserve(pending);
   std::uint64_t x = 123456789ull;
   for (std::size_t i = 0; i < pending; ++i) {
@@ -89,27 +93,7 @@ Result bench_churn(std::size_t pending, std::size_t ops) {
     action();
     q.schedule(when + 1 + next_time_sample(x) % 1000, [] {});
   }
-  return {"eq_churn", double(ops) / seconds_since(start), "ops/s"};
-}
-
-Result bench_cancel(std::size_t n, int rounds) {
-  netsim::EventQueue q;
-  q.reserve(n);
-  std::uint64_t x = 55555ull;
-  std::vector<netsim::EventId> ids;
-  ids.reserve(n);
-  const auto start = Clock::now();
-  for (int round = 0; round < rounds; ++round) {
-    ids.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(q.schedule(next_time_sample(x) % 1000000, [] {}));
-    }
-    for (std::size_t i = 0; i < n; i += 2) q.cancel(ids[i]);
-    while (!q.empty()) q.pop().second();
-    q.clear();
-  }
-  const double ops = double(rounds) * (double(n) + double(n));  // sched+cancel/pop
-  return {"eq_cancel_drain", ops / seconds_since(start), "ops/s"};
+  return {"wheel_churn", double(ops) / seconds_since(start), "ops/s"};
 }
 
 Result bench_wormhole(std::uint64_t cycles) {
@@ -254,18 +238,16 @@ int main(int argc, char** argv) {
 
   std::vector<Result> results;
 
-  // Event-queue microbenches.
+  // Event-wheel microbenches.
   if (smoke) {
     results.push_back(bench_schedule_pop(20000, 2));
     results.push_back(bench_churn(2000, 50000));
-    results.push_back(bench_cancel(10000, 2));
     results.push_back(bench_wormhole(1500));
     results.push_back(bench_sketch_update(500000));
     results.push_back(bench_trace_replay(50000));
   } else {
     results.push_back(bench_schedule_pop(400000, 4));
     results.push_back(bench_churn(10000, 2000000));
-    results.push_back(bench_cancel(200000, 4));
     // 100k cycles ≈ 0.5 s at the engine's rate: long enough that the
     // steps/s figure is stable run to run (at 20k the window was ~0.1 s
     // and the metric swung ±10% with scheduler noise).
@@ -305,7 +287,9 @@ int main(int argc, char** argv) {
       }
     }
     results.push_back({"sweep_serial", serial_s, "s"});
-    results.push_back({"sweep_jobs" + std::to_string(jobs), par_s, "s"});
+    // A fixed name, so baselines compare across core counts; the job
+    // count goes into the JSON's `jobs` field.
+    results.push_back({"sweep_parallel", par_s, "s"});
     results.push_back({"sweep_speedup", serial_s / par_s, "x"});
   }
 

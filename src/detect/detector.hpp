@@ -19,8 +19,8 @@
 #include <string>
 #include <unordered_map>
 
-#include "netsim/event_queue.hpp"
 #include "netsim/stats.hpp"
+#include "netsim/time.hpp"
 #include "packet/packet.hpp"
 
 namespace ddpm::detect {

@@ -5,32 +5,15 @@
 
 namespace ddpm::netsim {
 
-namespace {
+EventWheel::EventWheel() : buckets_(kWindow) {}
 
-constexpr bool is_pow2(std::size_t v) noexcept {
-  return v != 0 && (v & (v - 1)) == 0;
-}
-
-}  // namespace
-
-EventWheel::EventWheel(std::size_t window) : mask_(window - 1) {
-  // >= 64 keeps the occupancy bitmap's word count a power of two, so the
-  // circular scan wraps with a mask instead of a modulo.
-  DDPM_CHECK(is_pow2(window) && window >= 64,
-             "event wheel window must be a power of two >= 64");
-  buckets_.resize(window);
-  occ_.assign(window / 64, 0);
-}
-
-DDPM_HOT EventId EventWheel::enqueue(SimTime when, std::uint32_t ticket) {
-  Ticket& slot = tickets_[ticket];
-  slot.live = true;
-  if (when - cursor_ <= mask_) {
+DDPM_HOT void EventWheel::enqueue(SimTime when, std::uint32_t ticket) {
+  if (when - cursor_ <= kMask) {
     // Near future: O(1) append to the timestamp's bucket. No sequence
     // number is materialized — append order IS scheduling order, and heap
     // entries for the same instant always predate bucket ones (see the
     // ordering argument in the header).
-    const std::size_t b = std::size_t(when) & mask_;
+    const std::size_t b = std::size_t(when) & kMask;
     // Bucket capacity is pre-sized by reserve() and retained across drains
     // (reset_bucket clears, never shrinks), so this push grows only on a
     // burst deeper than any before it.
@@ -42,60 +25,28 @@ DDPM_HOT EventId EventWheel::enqueue(SimTime when, std::uint32_t ticket) {
     sift_up(heap_.size() - 1);
     ++heap_scheduled_;
   }
-  ++live_;
-  ++pending_entries_;
-  return make_id(ticket, slot.generation);
+  ++size_;
 }
 
-bool EventWheel::cancel(EventId id) {
-  const auto ticket = std::uint32_t(id >> 32);
-  const auto generation = std::uint32_t(id);
-  if (ticket >= tickets_.size()) return false;
-  Ticket& slot = tickets_[ticket];
-  if (!slot.live || slot.generation != generation) return false;
-  slot.live = false;
-  slot.action.reset();
-  --live_;
-  ++tombstones_;
-  // Same sweep policy as EventQueue: compact when the dead outnumber the
-  // living, so cancel-heavy timer workloads stay O(live) in memory.
-  if (tombstones_ > 64 && tombstones_ * 2 > pending_entries_) compact();
-  return true;
-}
-
-DDPM_HOT SimTime EventWheel::wheel_next() noexcept {
-  const std::size_t words = occ_.size();
-  const std::size_t b0 = std::size_t(cursor_) & mask_;
+DDPM_HOT SimTime EventWheel::wheel_next() const noexcept {
+  const std::size_t b0 = std::size_t(cursor_) & kMask;
   const std::size_t w0 = b0 >> 6;
   const unsigned off = unsigned(b0 & 63);
   // Circular bitmap scan from the cursor's bucket: whole words in wrap
   // order, with the cursor word split so its below-cursor bits (times near
-  // cursor + W) are visited last. Bit order within this traversal is
-  // ascending time order.
+  // cursor + kWindow) are visited last. Bit order within this traversal is
+  // ascending time order, and every set bit marks a non-empty bucket.
   std::uint64_t w = occ_[w0] & (~std::uint64_t{0} << off);
   for (std::size_t i = 0;;) {
-    while (w != 0) {
-      const std::size_t wi = (w0 + i) & (words - 1);
+    if (w != 0) {
+      const std::size_t wi = (w0 + i) & (kWords - 1);
       const std::size_t b = wi * 64 + std::size_t(__builtin_ctzll(w));
-      Bucket& bk = buckets_[b];
-      while (bk.head < bk.tickets.size() &&
-             !tickets_[bk.tickets[bk.head]].live) {
-        release_ticket(bk.tickets[bk.head]);
-        ++bk.head;
-        --tombstones_;
-        --pending_entries_;
-      }
-      if (bk.head == bk.tickets.size()) {
-        reset_bucket(b);  // dead-only bucket: drain and keep scanning
-        w &= w - 1;
-        continue;
-      }
-      return cursor_ + SimTime((b - b0) & mask_);
+      return cursor_ + SimTime((b - b0) & kMask);
     }
     ++i;
-    if (i > words) return kNoTime;
-    w = (i == words) ? occ_[w0] & ~(~std::uint64_t{0} << off)
-                     : occ_[(w0 + i) & (words - 1)];
+    if (i > kWords) return kNoTime;
+    w = (i == kWords) ? occ_[w0] & ~(~std::uint64_t{0} << off)
+                      : occ_[(w0 + i) & (kWords - 1)];
   }
 }
 
@@ -106,19 +57,10 @@ void EventWheel::reset_bucket(std::size_t b) noexcept {
   occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
 }
 
-SimTime EventWheel::next_time() {
-  DDPM_DCHECK(live_ != 0, "next_time on empty wheel");
-  const SimTime tw = wheel_next();
-  prune_dead_top();
-  if (heap_.empty()) return tw;
-  const SimTime th = heap_.front().when;
-  return tw < th ? tw : th;  // kNoTime is the max SimTime
-}
-
 DDPM_HOT bool EventWheel::pop_due(SimTime until, Fired& out) {
-  if (live_ == 0) return false;
+  if (size_ == 0) return false;
   const SimTime tw = wheel_next();
-  prune_dead_top();
+  std::uint32_t ticket;
   // Heap wins ties: its entries for an instant were scheduled while that
   // instant was still out of window, i.e. before any bucket entry for it.
   if (!heap_.empty() && heap_.front().when <= tw) {
@@ -126,56 +68,35 @@ DDPM_HOT bool EventWheel::pop_due(SimTime until, Fired& out) {
     if (top.when > until) return false;
     DDPM_DCHECK(top.when >= cursor_, "event time went backwards");
     cursor_ = top.when;
-    out.when = top.when;
-    out.action = std::move(tickets_[top.ticket].action);
-    release_ticket(top.ticket);
+    ticket = top.ticket;
     remove_top();
   } else {
-    // live_ != 0 and the heap holds nothing earlier: tw is a live bucket.
+    // size_ != 0 and the heap holds nothing earlier: tw is a bucket.
     if (tw > until) return false;
-    const std::size_t b = std::size_t(tw) & mask_;
+    const std::size_t b = std::size_t(tw) & kMask;
     Bucket& bk = buckets_[b];
-    const std::uint32_t ticket = bk.tickets[bk.head];
+    ticket = bk.tickets[bk.head];
     ++bk.head;
     cursor_ = tw;  // slides the window forward
-    out.when = tw;
-    out.action = std::move(tickets_[ticket].action);
-    release_ticket(ticket);
     if (bk.head == bk.tickets.size()) reset_bucket(b);
   }
-  --live_;
-  --pending_entries_;
+  out.when = cursor_;
+  out.action = std::move(actions_[ticket]);  // leaves the slot empty
+  free_tickets_.push_back(ticket);
+  --size_;
   return true;
 }
 
 std::pair<SimTime, EventWheel::Action> EventWheel::pop() {
-  DDPM_CHECK(live_ != 0, "pop on empty wheel");
+  DDPM_CHECK(size_ != 0, "pop on empty wheel");
   Fired fired;
   pop_due(kNoTime, fired);
   return {fired.when, std::move(fired.action)};
 }
 
-void EventWheel::clear() {
-  for (const Entry& e : heap_) release_ticket(e.ticket);
-  heap_.clear();
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    Bucket& bk = buckets_[b];
-    for (std::size_t i = bk.head; i < bk.tickets.size(); ++i) {
-      release_ticket(bk.tickets[i]);
-    }
-    bk.tickets.clear();
-    bk.head = 0;
-  }
-  for (std::uint64_t& w : occ_) w = 0;
-  live_ = 0;
-  tombstones_ = 0;
-  pending_entries_ = 0;
-  cursor_ = 0;  // a cleared wheel may be reused from time zero
-}
-
 void EventWheel::reserve(std::size_t n) {
   heap_.reserve(n);
-  tickets_.reserve(n);
+  actions_.reserve(n);
   free_tickets_.reserve(n);
   // Events sharing one tick: a bucket that first meets a deeper burst
   // mid-run would grow inside the steady state. The deepest buckets of the
@@ -187,27 +108,10 @@ void EventWheel::reserve(std::size_t n) {
 }
 
 std::uint32_t EventWheel::new_ticket() {
-  DDPM_CHECK(tickets_.size() < (std::size_t(1) << 32),
+  DDPM_CHECK(actions_.size() < (std::size_t(1) << 32),
              "event ticket space exhausted");
-  tickets_.emplace_back();
-  return std::uint32_t(tickets_.size() - 1);
-}
-
-void EventWheel::release_ticket(std::uint32_t ticket) noexcept {
-  Ticket& slot = tickets_[ticket];
-  slot.live = false;
-  slot.action.reset();
-  ++slot.generation;  // invalidates every outstanding id for this slot
-  free_tickets_.push_back(ticket);
-}
-
-void EventWheel::prune_dead_top() noexcept {
-  while (!heap_.empty() && !tickets_[heap_.front().ticket].live) {
-    release_ticket(heap_.front().ticket);
-    remove_top();
-    --tombstones_;
-    --pending_entries_;
-  }
+  actions_.emplace_back();
+  return std::uint32_t(actions_.size() - 1);
 }
 
 void EventWheel::remove_top() noexcept {
@@ -219,47 +123,6 @@ void EventWheel::remove_top() noexcept {
   } else {
     heap_.pop_back();
   }
-}
-
-void EventWheel::compact() {
-  // Heap: drop tombstones, re-heapify (seq survives, FIFO unchanged).
-  std::size_t out = 0;
-  for (const Entry& e : heap_) {
-    if (tickets_[e.ticket].live) {
-      heap_[out++] = e;
-    } else {
-      release_ticket(e.ticket);
-    }
-  }
-  heap_.resize(out);
-  if (out > 1) {
-    for (std::size_t i = (out - 2) / kArity + 1; i-- > 0;) sift_down(i);
-  }
-  std::size_t entries = out;
-  // Buckets: filter each one's unpopped span in place (append order — and
-  // with it FIFO — is preserved).
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    Bucket& bk = buckets_[b];
-    if (bk.tickets.empty()) continue;
-    std::size_t keep = 0;
-    for (std::size_t i = bk.head; i < bk.tickets.size(); ++i) {
-      const std::uint32_t t = bk.tickets[i];
-      if (tickets_[t].live) {
-        bk.tickets[keep++] = t;
-      } else {
-        release_ticket(t);
-      }
-    }
-    bk.tickets.resize(keep);
-    bk.head = 0;
-    if (keep == 0) {
-      reset_bucket(b);
-    } else {
-      entries += keep;
-    }
-  }
-  tombstones_ = 0;
-  pending_entries_ = entries;
 }
 
 void EventWheel::sift_up(std::size_t i) noexcept {

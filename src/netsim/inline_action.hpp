@@ -1,4 +1,4 @@
-// Allocation-free type-erased callable for the event queue's hot path.
+// Allocation-free type-erased callable for the event wheel's hot path.
 //
 // std::function heap-allocates any capture larger than its tiny internal
 // buffer (16 bytes on libstdc++), which put one malloc/free pair on every
@@ -18,7 +18,7 @@
 // (unique_ptr, a counting type) goes through its own move constructor and
 // destructor, exactly once each per hand-off.
 //
-// The contract the event queue relies on:
+// The contract the event wheel relies on:
 //   * construction, move, destruction never allocate and never throw;
 //   * a moved-from InlineAction is empty (operator bool == false);
 //   * invoking an empty action is a DCHECK failure, not UB.

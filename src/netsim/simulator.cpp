@@ -5,13 +5,13 @@ namespace ddpm::netsim {
 std::uint64_t Simulator::run(SimTime until) {
   std::uint64_t count = 0;
   EventWheel::Fired event;
-  while (queue_.pop_due(until, event)) {
+  while (wheel_.pop_due(until, event)) {
     now_ = event.when;
     event.action();
     event.action.reset();  // captures die as the event finishes
     ++executed_;
     ++count;
-    probes_.on_pop(executed_, queue_.size());
+    probes_.on_pop(executed_, wheel_.size());
   }
   // Advance the clock to the horizon so back-to-back run() calls with
   // increasing horizons behave like one continuous run.
@@ -19,18 +19,6 @@ std::uint64_t Simulator::run(SimTime until) {
     now_ = until;
   }
   return count;
-}
-
-bool Simulator::step() {
-  EventWheel::Fired event;
-  if (!queue_.pop_due(std::numeric_limits<SimTime>::max(), event)) {
-    return false;
-  }
-  now_ = event.when;
-  event.action();
-  ++executed_;
-  probes_.on_pop(executed_, queue_.size());
-  return true;
 }
 
 }  // namespace ddpm::netsim

@@ -1,13 +1,12 @@
-// Simulation kernel: owns the clock and the event queue, and drives the
-// model by firing events in timestamp order.
+// Simulation kernel: owns the clock and the event wheel, and drives the
+// model by firing events in (time, scheduling order).
 //
-// The queue is the calendar-wheel variant (netsim/event_wheel.hpp): the
-// cluster Switch's forwarding events and the wormhole link clock
-// (wormhole/wheel_runner.hpp) are regular short-horizon cadences, which
-// the wheel schedules and pops in O(1); irregular timers (attack onsets,
-// long backoffs) overflow to its embedded 4-ary heap. Semantics are
-// identical to EventQueue — the differential stress test pins that — so
-// swapping the member type is invisible to models.
+// The wheel (netsim/event_wheel.hpp) is the tree's one scheduler: the
+// cluster Switch's forwarding events are regular short-horizon cadences,
+// which it schedules and pops in O(1); irregular timers (attack onsets,
+// benign gaps, long backoffs) overflow to its embedded 4-ary heap. Events
+// are never cancelled: a model whose timer may become moot (TCP's client
+// give-up timer) checks its own state when the timer fires.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +24,10 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `action` to fire `delay` ticks from now. The callable is
-  /// forwarded into the queue's slot, never copied into a temporary.
+  /// forwarded into the wheel's slot, never copied into a temporary.
   template <typename F>
-  EventId schedule_in(SimTime delay, F&& action) {
-    return queue_.schedule(now_ + delay, std::forward<F>(action));
+  void schedule_in(SimTime delay, F&& action) {
+    wheel_.schedule(now_ + delay, std::forward<F>(action));
   }
 
   /// Schedules `action` at absolute time `when`. `when` must not be in the
@@ -37,25 +36,20 @@ class Simulator {
   /// counted (see clamped_events()): a model that relies on the clamp is
   /// usually mis-computing timestamps, and the counter makes that visible.
   template <typename F>
-  EventId schedule_at(SimTime when, F&& action) {
+  void schedule_at(SimTime when, F&& action) {
     if (when < now_) {
       ++clamped_;
       probes_.on_clamp();
       when = now_;
     }
-    return queue_.schedule(when, std::forward<F>(action));
+    wheel_.schedule(when, std::forward<F>(action));
   }
 
-  bool cancel(EventId id) { return queue_.cancel(id); }
-
-  /// Runs until the queue drains or the clock passes `until`, whichever
+  /// Runs until the wheel drains or the clock passes `until`, whichever
   /// comes first. Events stamped exactly `until` still fire; afterwards a
   /// clock behind `until` is advanced to it (unless `until` is the default,
   /// unbounded horizon). Returns the number of events executed.
   std::uint64_t run(SimTime until = std::numeric_limits<SimTime>::max());
-
-  /// Executes at most one pending event. Returns false if none was pending.
-  bool step();
 
   /// Number of events executed since construction.
   std::uint64_t events_executed() const noexcept { return executed_; }
@@ -64,15 +58,11 @@ class Simulator {
   /// clamped to now(). Zero in a healthy model; see schedule_at().
   std::uint64_t clamped_events() const noexcept { return clamped_; }
 
-  bool pending() const noexcept { return !queue_.empty(); }
-  std::size_t pending_count() const noexcept { return queue_.size(); }
+  std::size_t pending_count() const noexcept { return wheel_.size(); }
 
-  /// Pre-sizes the event queue for `n` simultaneous pending events
+  /// Pre-sizes the event wheel for `n` simultaneous pending events
   /// (grow-once for steady-state workloads).
-  void reserve(std::size_t n) { queue_.reserve(n); }
-
-  /// Drops all pending events; the clock is left where it is.
-  void clear_pending() { queue_.clear(); }
+  void reserve(std::size_t n) { wheel_.reserve(n); }
 
   /// Attaches an event tracer: the kernel samples heap depth and executed-
   /// event counter tracks into it and binds it to this clock, so RAII spans
@@ -82,10 +72,9 @@ class Simulator {
     probes_.attach(tracer);
     if (tracer != nullptr) tracer->set_clock(&now_);
   }
-  telemetry::Tracer* tracer() const noexcept { return probes_.tracer(); }
 
  private:
-  EventWheel queue_;
+  EventWheel wheel_;
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t clamped_ = 0;

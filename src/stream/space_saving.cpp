@@ -50,7 +50,7 @@ DDPM_HOT std::uint32_t SpaceSavingTopK::claim(std::uint32_t key) noexcept {
 
 DDPM_HOT void SpaceSavingTopK::vacate(std::uint32_t t) noexcept {
   // Backward-shift deletion: pull every displaced successor of the probe
-  // chain one hole earlier so find() never needs tombstones.
+  // chain one hole earlier so find() never meets a deleted-slot marker.
   table_[t].heap_pos = -1;
   std::uint32_t hole = t;
   std::uint32_t i = (t + 1) & table_mask_;

@@ -6,8 +6,8 @@
 //   any key with true count > N / capacity is monitored    (N = stream weight)
 //
 // Implementation: a min-heap over the monitored counts (4-ary, like the
-// event queue) plus a linear-probing open-addressing index with
-// backward-shift deletion, all over flat preallocated arrays — offer() is
+// event wheel's overflow heap) plus a linear-probing open-addressing index
+// with backward-shift deletion, all over flat preallocated arrays — offer() is
 // DDPM_HOT: zero allocation, no virtual dispatch, no locking, no
 // hardware division (power-of-two table masks, constant heap arity).
 // Heap entries and index slots carry reciprocal positions so every swap,

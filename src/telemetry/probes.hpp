@@ -43,7 +43,6 @@ struct KernelProbes {
   static constexpr std::uint64_t kSampleMask = (1u << 12) - 1;
 
   void attach(Tracer* tracer) noexcept { tracer_ = tracer; }
-  Tracer* tracer() const noexcept { return tracer_; }
 
   void on_pop(std::uint64_t executed, std::size_t pending) {
     if (tracer_ != nullptr && (executed & kSampleMask) == 0) {
@@ -248,7 +247,6 @@ struct TcpProbes {
 
 struct KernelProbes {
   void attach(Tracer*) noexcept {}
-  Tracer* tracer() const noexcept { return nullptr; }
   void on_pop(std::uint64_t, std::size_t) noexcept {}
   void on_clamp() noexcept {}
 };

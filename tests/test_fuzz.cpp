@@ -1,18 +1,21 @@
 // Randomized robustness tests: hostile or random inputs must never crash,
-// corrupt state, or violate documented invariants. Reference-model checks
-// pin the event queue against std::multimap.
+// corrupt state, or violate documented invariants. (The event wheel's
+// std::multimap reference model lives in test_event_wheel.cpp; the
+// Simulator's, which adds the past-time clamp and bounded runs, is below.)
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
-
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "hybrid/hybrid.hpp"
 #include "indirect/port_stamp.hpp"
 #include "irregular/irregular.hpp"
 #include "marking/ddpm.hpp"
-#include "netsim/event_queue.hpp"
 #include "netsim/rng.hpp"
+#include "netsim/simulator.hpp"
 #include "packet/ip_header.hpp"
 #include "packet/marking_field.hpp"
 #include "topology/factory.hpp"
@@ -57,51 +60,6 @@ TEST(Fuzz, IpHeaderRoundTripRandomFields) {
     EXPECT_EQ(parsed.ttl(), h.ttl());
     EXPECT_EQ(parsed.total_length(), h.total_length());
   }
-}
-
-TEST(Fuzz, EventQueueMatchesReferenceModel) {
-  netsim::EventQueue queue;
-  std::multimap<std::pair<netsim::SimTime, std::uint64_t>, int> reference;
-  std::map<netsim::EventId, decltype(reference)::iterator> live;
-  netsim::Rng rng(3);
-  std::uint64_t seq = 0;
-  int fired_total = 0;
-  std::vector<int> fired;
-  for (int op = 0; op < 20000; ++op) {
-    const auto choice = rng.next_below(10);
-    if (choice < 5) {  // schedule
-      // Offset from the monotonicity watermark: the queue contracts that no
-      // event lands before the most recently popped instant.
-      const netsim::SimTime when = queue.last_popped_time() + rng.next_below(1000);
-      const int tag = op;
-      const auto id = queue.schedule(when, [&fired, tag] { fired.push_back(tag); });
-      live[id] = reference.emplace(std::make_pair(when, seq++), tag);
-    } else if (choice < 7 && !live.empty()) {  // cancel a random live event
-      auto it = live.begin();
-      std::advance(it, long(rng.next_below(live.size())));
-      EXPECT_TRUE(queue.cancel(it->first));
-      reference.erase(it->second);
-      live.erase(it);
-    } else if (!queue.empty()) {  // pop
-      ASSERT_FALSE(reference.empty());
-      const auto expected = reference.begin();
-      EXPECT_EQ(queue.next_time(), expected->first.first);
-      auto [when, action] = queue.pop();
-      action();
-      ++fired_total;
-      ASSERT_FALSE(fired.empty());
-      EXPECT_EQ(fired.back(), expected->second);
-      // Remove from live map too.
-      for (auto it = live.begin(); it != live.end(); ++it) {
-        if (it->second == expected) {
-          live.erase(it);
-          break;
-        }
-      }
-      reference.erase(expected);
-    }
-  }
-  EXPECT_GT(fired_total, 1000);
 }
 
 TEST(Fuzz, MarkingFieldSlicesNeverInterfere) {
@@ -252,6 +210,159 @@ TEST(Fuzz, CodecDecodeEncodeStable) {
     const auto f2 = codec.encode(v);
     EXPECT_EQ(codec.decode(f2), v);
   }
+}
+
+
+/// How a fired event schedules its children, derived from a hash of the
+/// child's token so the Simulator and the reference model agree on every
+/// decision without sharing an RNG stream.
+struct ChildPlan {
+  bool relative;  // schedule_in(value) vs schedule_at(value)
+  netsim::SimTime value;
+};
+
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// `far_and_past` adds far-future timers (the wheel's overflow heap) and
+/// past-stamped schedule_at calls (the clamp) to the near-cadence mix.
+ChildPlan plan_child(std::uint64_t token, netsim::SimTime now,
+                     bool far_and_past) {
+  const std::uint64_t h = mix64(token);
+  const std::uint64_t r = h >> 16;
+  switch ((h >> 8) % (far_and_past ? 8 : 4)) {
+    case 0:
+      return {true, 0};
+    case 1:
+    case 2:
+      return {true, r % 64};
+    case 3:
+      return {false, now + r % 900};
+    case 4:
+      return {true, 1024 + r % 60000};
+    case 5:
+      return {false, now - std::min<netsim::SimTime>(now, r % 200)};
+    case 6:
+      return {false, now + 100000 + r % 100000};
+    default:
+      return {true, r % 4};
+  }
+}
+
+/// Drives a Simulator through a self-expanding random event program and
+/// checks every fired (time, token), the clock after each bounded run,
+/// and the pending, executed and clamped counts against a std::multimap
+/// model of the kernel's contract: (time, scheduling order) firing, past
+/// schedule_at clamped to now, a bounded run advancing the clock to its
+/// horizon.
+void check_simulator_against_model(std::uint64_t seed, bool far_and_past) {
+  using netsim::SimTime;
+  constexpr std::uint64_t kBudget = 30000;  // tokens, roots included
+  constexpr std::uint64_t kMaxChildren = 4;
+
+  struct World {
+    netsim::Simulator sim;
+    std::vector<std::pair<SimTime, std::uint64_t>> log;
+    std::uint64_t next_token = 0;
+    bool far_and_past;
+  } world{{}, {}, 0, far_and_past};
+
+  struct Fire {
+    World* w;
+    std::uint64_t token;
+    void operator()() const {
+      World& wd = *w;
+      wd.log.emplace_back(wd.sim.now(), token);
+      const std::uint64_t n = mix64(~token) % kMaxChildren;
+      for (std::uint64_t c = 0; c < n && wd.next_token < kBudget; ++c) {
+        const std::uint64_t child = wd.next_token++;
+        const ChildPlan plan = plan_child(child, wd.sim.now(), wd.far_and_past);
+        if (plan.relative) {
+          wd.sim.schedule_in(plan.value, Fire{w, child});
+        } else {
+          wd.sim.schedule_at(plan.value, Fire{w, child});
+        }
+      }
+    }
+  };
+
+  // Reference model: key (when, token) — tokens are handed out in
+  // scheduling order, so the key order is the contracted firing order.
+  std::multimap<std::pair<SimTime, std::uint64_t>, bool> pending;
+  std::vector<std::pair<SimTime, std::uint64_t>> model_log;
+  SimTime model_now = 0;
+  std::uint64_t model_next = 0;
+  std::uint64_t model_clamped = 0;
+  const auto model_fire = [&](std::uint64_t token) {
+    model_log.emplace_back(model_now, token);
+    const std::uint64_t n = mix64(~token) % kMaxChildren;
+    for (std::uint64_t c = 0; c < n && model_next < kBudget; ++c) {
+      const std::uint64_t child = model_next++;
+      const ChildPlan plan = plan_child(child, model_now, far_and_past);
+      SimTime when = plan.relative ? model_now + plan.value : plan.value;
+      if (when < model_now) {
+        ++model_clamped;
+        when = model_now;
+      }
+      pending.emplace(std::make_pair(when, child), true);
+    }
+  };
+  const auto model_run = [&](SimTime until) {
+    while (!pending.empty() && pending.begin()->first.first <= until) {
+      const auto [when, token] = pending.begin()->first;
+      pending.erase(pending.begin());
+      model_now = when;
+      model_fire(token);
+    }
+    if (until != std::numeric_limits<SimTime>::max() && model_now < until) {
+      model_now = until;
+    }
+  };
+
+  netsim::Rng rng(seed);
+  for (int root = 0; root < 64; ++root) {
+    const SimTime when = rng.next_below(far_and_past ? 300000 : 2000);
+    const std::uint64_t token = world.next_token++;
+    world.sim.schedule_at(when, Fire{&world, token});
+    pending.emplace(std::make_pair(when, model_next++), true);
+  }
+
+  int runs = 0;
+  while (world.sim.pending_count() != 0 && runs < 100000) {
+    const SimTime until = world.sim.now() + rng.next_below(3000);
+    world.sim.run(until);
+    model_run(until);
+    ++runs;
+    ASSERT_EQ(world.sim.now(), model_now) << "after run(" << until << ")";
+    ASSERT_EQ(world.sim.pending_count(), pending.size());
+    ASSERT_EQ(world.log.size(), model_log.size());
+  }
+  world.sim.run();
+  model_run(std::numeric_limits<SimTime>::max());
+
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(world.next_token, kBudget) << "the program ran out early";
+  EXPECT_EQ(world.sim.events_executed(), kBudget);
+  EXPECT_EQ(world.sim.clamped_events(), model_clamped);
+  if (far_and_past) {
+    EXPECT_GT(model_clamped, 0u);
+  }
+  ASSERT_EQ(world.log.size(), model_log.size());
+  for (std::size_t i = 0; i < model_log.size(); ++i) {
+    ASSERT_EQ(world.log[i], model_log[i]) << "diverged at fired event " << i;
+  }
+}
+
+TEST(Fuzz, SimulatorMatchesReferenceModelOnNearCadences) {
+  check_simulator_against_model(11, /*far_and_past=*/false);
+}
+
+TEST(Fuzz, SimulatorMatchesReferenceModelWithFarTimersAndClamps) {
+  check_simulator_against_model(12, /*far_and_past=*/true);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace ddpm::netsim {
@@ -58,17 +59,6 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(sim.now(), 9u);
 }
 
-TEST(Simulator, StepExecutesOneEvent) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1, [&] { ++fired; });
-  sim.schedule_at(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-}
-
 TEST(Simulator, PastScheduleAtClampsToNow) {
   Simulator sim;
   SimTime when = 0;
@@ -105,24 +95,6 @@ TEST(Simulator, ReserveDoesNotDisturbPendingEvents) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, ClearPendingDropsEvents) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1, [&] { ++fired; });
-  sim.clear_pending();
-  sim.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule_at(5, [&] { ++fired; });
-  EXPECT_TRUE(sim.cancel(id));
-  sim.run();
-  EXPECT_EQ(fired, 0);
-}
-
 TEST(Simulator, HorizonAdvancesClockEvenWithoutEvents) {
   Simulator sim;
   sim.run(1000);
@@ -146,6 +118,132 @@ TEST(Simulator, RunLeavesTheClockAtTheHorizonOrTheLastEvent) {
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(sim.run(100), 0u);
   EXPECT_EQ(sim.now(), 100u) << "drained queue: clock at the horizon";
+}
+
+TEST(Simulator, SimultaneousEventsRunInScheduleOrder) {
+  Simulator sim;
+  std::vector<int> fired;
+  for (int i = 0; i < 20; ++i) {
+    sim.schedule_at(40, [&fired, i] { fired.push_back(i); });
+  }
+  sim.run();
+  ASSERT_EQ(fired.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(fired[std::size_t(i)], i);
+}
+
+TEST(Simulator, ZeroDelayEventRunsAfterItsSameInstantPeers) {
+  Simulator sim;
+  std::vector<int> fired;
+  sim.schedule_at(8, [&] {
+    fired.push_back(0);
+    sim.schedule_in(0, [&] { fired.push_back(2); });
+  });
+  sim.schedule_at(8, [&] { fired.push_back(1); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.now(), 8u);
+}
+
+TEST(Simulator, FarFutureTimersFireAtTheirTimes) {
+  // Timers far beyond the wheel's window (the overflow path) interleave
+  // with near events and still fire at their exact times.
+  Simulator sim;
+  std::vector<SimTime> observed;
+  const auto record = [&] { observed.push_back(sim.now()); };
+  sim.schedule_at(5'000'000, record);
+  sim.schedule_at(12, record);
+  sim.schedule_at(70'000, record);
+  sim.schedule_at(12, [&] { sim.schedule_in(2'000'000, record); });
+  sim.run();
+  EXPECT_EQ(observed,
+            (std::vector<SimTime>{12, 70'000, 2'000'012, 5'000'000}));
+}
+
+TEST(Simulator, PendingCountTracksScheduledAndExecutedEvents) {
+  Simulator sim;
+  EXPECT_EQ(sim.pending_count(), 0u);
+  sim.schedule_at(10, [] {});
+  sim.schedule_at(20, [] {});
+  sim.schedule_at(90'000, [] {});
+  EXPECT_EQ(sim.pending_count(), 3u);
+  sim.run(15);
+  EXPECT_EQ(sim.pending_count(), 2u);
+  sim.schedule_in(1, [] {});
+  EXPECT_EQ(sim.pending_count(), 3u);
+  sim.run();
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(Simulator, EventsExecutedAccumulatesAcrossRuns) {
+  Simulator sim;
+  for (SimTime t = 1; t <= 10; ++t) sim.schedule_at(t * 10, [] {});
+  EXPECT_EQ(sim.run(35), 3u);
+  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_EQ(sim.run(70), 4u);
+  EXPECT_EQ(sim.events_executed(), 7u);
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(sim.events_executed(), 10u);
+}
+
+TEST(Simulator, MoveOnlyCapturesAreSupported) {
+  Simulator sim;
+  auto payload = std::make_unique<int>(11);
+  int seen = 0;
+  sim.schedule_in(3, [&seen, p = std::move(payload)] { seen = *p; });
+  sim.run();
+  EXPECT_EQ(seen, 11);
+}
+
+TEST(Simulator, ClampedEventFiresAfterEventsAlreadyDueNow) {
+  // A past timestamp is clamped to now() and queues behind the events
+  // already scheduled for the current instant.
+  Simulator sim;
+  std::vector<int> fired;
+  sim.schedule_at(60, [&] {
+    fired.push_back(0);
+    sim.schedule_at(5, [&] { fired.push_back(2); });  // past: clamped
+  });
+  sim.schedule_at(60, [&] { fired.push_back(1); });
+  sim.schedule_at(61, [&] { fired.push_back(3); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.clamped_events(), 1u);
+}
+
+TEST(Simulator, HorizonFiresEveryEventOfItsInstant) {
+  // Events stamped at the horizon fire, including those a firing event
+  // schedules for that same instant.
+  Simulator sim;
+  int at_horizon = 0;
+  int after = 0;
+  for (int i = 0; i < 5; ++i) {
+    sim.schedule_at(20, [&] {
+      ++at_horizon;
+      sim.schedule_in(0, [&] { ++at_horizon; });
+    });
+  }
+  sim.schedule_at(21, [&] { ++after; });
+  EXPECT_EQ(sim.run(20), 10u);
+  EXPECT_EQ(at_horizon, 10);
+  EXPECT_EQ(after, 0);
+  EXPECT_EQ(sim.pending_count(), 1u);
+}
+
+TEST(Simulator, EveryScheduledEventFiresExactlyOnce) {
+  // The kernel has no cancellation: near, far, zero-delay and clamped
+  // events all run, once each.
+  Simulator sim;
+  std::vector<int> count(4, 0);
+  sim.schedule_at(100, [&] {
+    ++count[0];
+    sim.schedule_in(0, [&] { ++count[1]; });
+    sim.schedule_at(1, [&] { ++count[2]; });  // clamped to 100
+    sim.schedule_in(500'000, [&] { ++count[3]; });
+  });
+  EXPECT_EQ(sim.run(), 4u);
+  EXPECT_EQ(count, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(count, (std::vector<int>{1, 1, 1, 1}));
 }
 
 }  // namespace

@@ -16,10 +16,14 @@ engine, new hardware), regenerate the committed baseline deliberately:
 
 and commit it together with the change that moved it.
 
-Direction is inferred from the unit: throughput units (ops/s, steps/s,
-x) are better-higher; duration units (s, ms) are better-lower. Metrics
-present on only one side are reported but never fail the diff (benches
-come and go); what fails is only a shared metric moving the wrong way.
+Direction comes from the unit, and every unit bench_kernel emits has one
+in UNIT_DIRECTION: throughputs (ops/s, steps/s, updates/s, records/s)
+and ratios (x) are better-higher; durations (s) are better-lower. A
+metric in a unit the table does not know is a usage error (exit 2, naming
+the metric): guessing its direction would pass a slowdown as an
+improvement. Metrics present on only one side are reported but never fail
+the diff (benches come and go); what fails is only a shared metric moving
+the wrong way.
 
 Provenance (compiler, build type, telemetry gate) is printed and
 mismatches are WARNED, not failed: a RelWithDebInfo-vs-Release diff is
@@ -45,8 +49,16 @@ import argparse
 import json
 import sys
 
-# Units where larger is better; anything else (s, ms, ...) is a duration.
-HIGHER_IS_BETTER_UNITS = {"ops/s", "steps/s", "x"}
+# Direction per unit: True = larger is better. Every unit bench_kernel
+# emits must appear here; load() rejects any other.
+UNIT_DIRECTION = {
+    "ops/s": True,
+    "steps/s": True,
+    "updates/s": True,
+    "records/s": True,
+    "x": True,
+    "s": False,
+}
 
 PROVENANCE_KEYS = ("compiler", "build_type", "telemetry", "mode", "jobs")
 
@@ -59,7 +71,13 @@ def load(path):
         sys.exit(f"ddpm_bench_diff: cannot read {path}: {e}")
     metrics = {}
     for r in doc.get("results", []):
-        metrics[r["name"]] = (float(r["value"]), r.get("unit", ""))
+        unit = r.get("unit", "")
+        if unit not in UNIT_DIRECTION:
+            print(f"ddpm_bench_diff: metric {r['name']!r} in {path} has "
+                  f"unit {unit!r} with no known direction (known: "
+                  + ", ".join(sorted(UNIT_DIRECTION)) + ")", file=sys.stderr)
+            sys.exit(2)
+        metrics[r["name"]] = (float(r["value"]), unit)
     return doc, metrics
 
 
@@ -117,7 +135,7 @@ def main():
         if name not in floors:
             return None
         limit = floors[name]
-        higher_better = unit in HIGHER_IS_BETTER_UNITS
+        higher_better = UNIT_DIRECTION[unit]
         if higher_better and cval < limit:
             return f"FLOOR VIOLATION ({cval:g} < floor {limit:g})"
         if not higher_better and cval > limit:
@@ -146,7 +164,7 @@ def main():
             continue
         bval, unit = base[name]
         cval, _ = cur[name]
-        higher_better = unit in HIGHER_IS_BETTER_UNITS
+        higher_better = UNIT_DIRECTION[unit]
         breach = floor_breach(name, cval, unit)
         if bval == 0:
             if breach:

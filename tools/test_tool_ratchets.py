@@ -44,7 +44,8 @@ BENCH_DOC = {
     "mode": "full",
     "jobs": 1,
     "results": [
-        {"name": "eq_churn", "value": 5.0e6, "unit": "ops/s"},
+        {"name": "wheel_churn", "value": 5.0e6, "unit": "ops/s"},
+        {"name": "trace_replay", "value": 5.0e6, "unit": "records/s"},
         {"name": "sweep_serial", "value": 3.3, "unit": "s"},
         {"name": "sweep_speedup", "value": 1.01, "unit": "x"},
     ],
@@ -79,20 +80,20 @@ class BenchDiffTest(unittest.TestCase):
 
     def test_regression_beyond_tolerance_rejects(self):
         cur = self.current(
-            mutate=lambda d: self.set_metric(d, "eq_churn", 4.0e6))  # -20%
+            mutate=lambda d: self.set_metric(d, "wheel_churn", 4.0e6))  # -20%
         p = run(BENCH_DIFF, self.base, cur)
         self.assertEqual(p.returncode, 1)
-        self.assertIn("eq_churn", p.stderr)
+        self.assertIn("wheel_churn", p.stderr)
 
     def test_regression_within_tolerance_accepts(self):
         cur = self.current(
-            mutate=lambda d: self.set_metric(d, "eq_churn", 4.7e6))  # -6%
+            mutate=lambda d: self.set_metric(d, "wheel_churn", 4.7e6))  # -6%
         p = run(BENCH_DIFF, self.base, cur)
         self.assertEqual(p.returncode, 0, p.stderr)
 
     def test_improvement_of_any_size_accepts(self):
         cur = self.current(
-            mutate=lambda d: self.set_metric(d, "eq_churn", 5.0e7))
+            mutate=lambda d: self.set_metric(d, "wheel_churn", 5.0e7))
         p = run(BENCH_DIFF, self.base, cur)
         self.assertEqual(p.returncode, 0, p.stderr)
 
@@ -103,8 +104,29 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(p.returncode, 1)
         self.assertIn("sweep_serial", p.stderr)
 
+    def test_records_per_second_drop_rejects(self):
+        cur = self.current(
+            mutate=lambda d: self.set_metric(d, "trace_replay", 4.0e6))  # -20%
+        p = run(BENCH_DIFF, self.base, cur)
+        self.assertEqual(p.returncode, 1)
+        self.assertIn("trace_replay", p.stderr)
+
+    def test_records_per_second_rise_accepts(self):
+        cur = self.current(
+            mutate=lambda d: self.set_metric(d, "trace_replay", 6.0e6))  # +20%
+        p = run(BENCH_DIFF, self.base, cur)
+        self.assertEqual(p.returncode, 0, p.stderr)
+        self.assertIn("ok (improved)", p.stdout)
+
+    def test_unknown_unit_is_usage_error_naming_the_metric(self):
+        cur = self.current(mutate=lambda d: d["results"].append(
+            {"name": "mystery", "value": 1.0, "unit": "widgets"}))
+        p = run(BENCH_DIFF, self.base, cur)
+        self.assertEqual(p.returncode, 2)
+        self.assertIn("mystery", p.stderr)
+
     def test_metric_missing_from_current_warns_but_accepts(self):
-        cur = self.current(mutate=lambda d: d["results"].pop(0))  # eq_churn
+        cur = self.current(mutate=lambda d: d["results"].pop(0))  # wheel_churn
         p = run(BENCH_DIFF, self.base, cur)
         self.assertEqual(p.returncode, 0, p.stderr)
         self.assertIn("present in baseline only", p.stdout)
