@@ -7,8 +7,14 @@
 //   $ ./ddpm_sim --topology torus:8x8 --router adaptive --scheme ddpm
 //       (continued:) --attack udp-flood --zombies 4 --victim 42 --attack-rate 0.01
 //   $ ./ddpm_sim --help
+//
+// Exit status: 0 on success; 2 on a usage error (unknown option, missing
+// or malformed value, with the flag named); 1 on any other error.
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include <fstream>
@@ -68,13 +74,19 @@ void usage() {
       "  --dot FILE           write a Graphviz attack graph of verdicts\n";
 }
 
+/// A bad command line (unknown option, missing or malformed value): reported
+/// with the flag's name, exit code 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 attack::AttackKind parse_kind(const std::string& s) {
   if (s == "none") return attack::AttackKind::kNone;
   if (s == "udp-flood") return attack::AttackKind::kUdpFlood;
   if (s == "syn-flood") return attack::AttackKind::kSynFlood;
   if (s == "worm") return attack::AttackKind::kWorm;
   if (s == "reflector") return attack::AttackKind::kReflector;
-  throw std::invalid_argument("unknown attack kind: " + s);
+  throw UsageError("unknown attack kind: " + s);
 }
 
 attack::SpoofStrategy parse_spoof(const std::string& s) {
@@ -82,7 +94,46 @@ attack::SpoofStrategy parse_spoof(const std::string& s) {
   if (s == "random-cluster") return attack::SpoofStrategy::kRandomCluster;
   if (s == "random-any") return attack::SpoofStrategy::kRandomAny;
   if (s == "victim-reflect") return attack::SpoofStrategy::kVictimReflect;
-  throw std::invalid_argument("unknown spoof strategy: " + s);
+  throw UsageError("unknown spoof strategy: " + s);
+}
+
+/// Parses a flag's non-negative integer value no larger than `max`. A sign,
+/// trailing characters or an out-of-range value is a usage error.
+std::uint64_t parse_count(
+    const std::string& flag, const std::string& text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || v > max) {
+    throw UsageError(flag + " needs a non-negative integer" +
+                     (max < std::numeric_limits<std::uint64_t>::max()
+                          ? " <= " + std::to_string(max)
+                          : std::string()) +
+                     ", got '" + text + "'");
+  }
+  return v;
+}
+
+/// Parses a flag's finite, non-negative real value.
+double parse_rate(const std::string& flag, const std::string& text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(v) ||
+      v < 0.0) {
+    throw UsageError(flag + " needs a finite number >= 0, got '" + text + "'");
+  }
+  return v;
+}
+
+/// Parses a flag's fraction: a real value in [0, 1].
+double parse_fraction(const std::string& flag, const std::string& text) {
+  const double v = parse_rate(flag, text);
+  if (v > 1.0) {
+    throw UsageError(flag + " needs a number in [0, 1], got '" + text + "'");
+  }
+  return v;
 }
 
 }  // namespace
@@ -113,7 +164,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       auto value = [&]() -> std::string {
-        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
+        if (i + 1 >= argc) throw UsageError(arg + " needs a value");
         return argv[++i];
       };
       if (arg == "--help" || arg == "-h") {
@@ -131,36 +182,37 @@ int main(int argc, char** argv) {
       } else if (arg == "--detector") {
         config.detector = value();
       } else if (arg == "--benign-rate") {
-        config.cluster.benign_rate_per_node = std::stod(value());
+        config.cluster.benign_rate_per_node = parse_rate(arg, value());
       } else if (arg == "--seed") {
-        config.cluster.seed = std::stoull(value());
+        config.cluster.seed = parse_count(arg, value());
       } else if (arg == "--ingress-filter") {
         config.cluster.ingress_filtering = true;
       } else if (arg == "--attack") {
         config.attack.kind = parse_kind(value());
       } else if (arg == "--victim") {
-        config.attack.victim = topo::NodeId(std::stoul(value()));
+        config.attack.victim = topo::NodeId(parse_count(
+            arg, value(), std::numeric_limits<topo::NodeId>::max()));
         victim_given = true;
       } else if (arg == "--zombies") {
-        zombie_count = std::stoul(value());
+        zombie_count = parse_count(arg, value());
       } else if (arg == "--attack-rate") {
-        config.attack.rate_per_zombie = std::stod(value());
+        config.attack.rate_per_zombie = parse_rate(arg, value());
       } else if (arg == "--spoof") {
         config.attack.spoof = parse_spoof(value());
       } else if (arg == "--attack-start") {
-        config.attack.start_time = std::stoull(value());
+        config.attack.start_time = parse_count(arg, value());
       } else if (arg == "--pulse-period") {
-        config.attack.pulse_period = std::stoull(value());
+        config.attack.pulse_period = parse_count(arg, value());
       } else if (arg == "--pulse-duty") {
-        config.attack.pulse_duty = std::stod(value());
+        config.attack.pulse_duty = parse_fraction(arg, value());
       } else if (arg == "--threshold") {
-        config.detect_rate_threshold = std::stod(value());
+        config.detect_rate_threshold = parse_rate(arg, value());
       } else if (arg == "--no-block") {
         config.auto_block = false;
       } else if (arg == "--classifier-fp") {
-        config.classifier_false_positive_rate = std::stod(value());
+        config.classifier_false_positive_rate = parse_fraction(arg, value());
       } else if (arg == "--duration") {
-        config.duration = std::stoull(value());
+        config.duration = parse_count(arg, value());
       } else if (arg == "--json") {
         json_output = true;
       } else if (arg == "--trace") {
@@ -172,10 +224,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--dot") {
         dot_path = value();
       } else if (arg == "--repeat") {
-        repeat = std::stoul(value());
+        repeat = parse_count(arg, value());
       } else {
-        throw std::invalid_argument("unknown option: " + arg +
-                                    " (try --help)");
+        throw UsageError("unknown option: " + arg);
       }
     }
 
@@ -284,6 +335,9 @@ int main(int argc, char** argv) {
       }
     }
     return 0;
+  } catch (const UsageError& err) {
+    std::cerr << "error: " << err.what() << " (try --help)\n";
+    return 2;
   } catch (const std::exception& err) {
     std::cerr << "error: " << err.what() << '\n';
     return 1;

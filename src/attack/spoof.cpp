@@ -12,6 +12,8 @@ std::string to_string(SpoofStrategy strategy) {
   return "unknown";
 }
 
+namespace {
+
 pkt::Ipv4Address spoofed_source(SpoofStrategy strategy,
                                 const pkt::AddressMap& addresses,
                                 topo::NodeId attacker, topo::NodeId victim,
@@ -29,6 +31,8 @@ pkt::Ipv4Address spoofed_source(SpoofStrategy strategy,
   }
   return addresses.address_of(attacker);
 }
+
+}  // namespace
 
 void apply_spoof(pkt::Packet& packet, SpoofStrategy strategy,
                  const pkt::AddressMap& addresses, topo::NodeId attacker,

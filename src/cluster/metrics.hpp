@@ -14,6 +14,10 @@ struct Metrics {
   std::uint64_t injected_benign = 0;
   std::uint64_t injected_attack = 0;
   /// Injections refused because the source node is blocked (mitigation).
+  /// A node's benign and attack processes each park at their first
+  /// refusal, since a source rule holds for the rest of the run: node
+  /// traffic adds at most two per blocked node. Every refused
+  /// ClusterNetwork::inject call counts.
   std::uint64_t blocked_at_source = 0;
   /// Injections dropped by ingress filtering: the header's source address
   /// did not match the injecting node (paper §2's RFC 2267, which IS

@@ -63,11 +63,12 @@ ClusterNetwork::ClusterNetwork(const ClusterConfig& config)
   node_env_.record_traces = config.record_traces;
   node_env_.attack = &attack_;
 
-  // Steady state keeps roughly one pending event per busy output port plus
-  // a couple of timers per node; size the queue once so the warm-up ramp
-  // does not reallocate it.
+  // Pending events are at most one arrival per output port (for the head of
+  // its FIFO), a benign and an attack timer per node, and a few worm
+  // infections in incubation; size the wheel once so the warm-up ramp does
+  // not reallocate it.
   const auto nodes = std::size_t(topo_->num_nodes());
-  sim_.reserve(nodes * (2 * std::size_t(topo_->num_ports()) + 4));
+  sim_.reserve(nodes * (std::size_t(topo_->num_ports()) + 4));
   // Full output queues everywhere bound the live packets (up to the few on
   // the wires). Reserving that up front keeps the slab from reallocating:
   // pages are touched only as packets first occupy them, and the warm-up

@@ -5,8 +5,10 @@
 //
 // Mitigation hooks are built in: the BlockingFilter is consulted at
 // injection (source-switch rules, which DDPM identifications enable) and
-// before local delivery (signature/address rules). Victim-side analysis
-// (detectors, identifiers) attaches through the delivery hook.
+// before local delivery (signature/address rules). A source rule holds
+// for the rest of the run: a node process it refuses parks for good.
+// Victim-side analysis (detectors, identifiers) attaches through the
+// delivery hook.
 #pragma once
 
 #include <functional>

@@ -29,8 +29,7 @@ void ComputeNode::schedule_benign() {
   const auto wait =
       netsim::SimTime(rng_.next_exponential(env_->benign_rate)) + 1;
   auto fire = [this]() {
-    inject_benign();
-    schedule_benign();
+    if (inject_benign()) schedule_benign();
   };
   static_assert(netsim::InlineAction::is_trivial<decltype(fire)>);
   env_->sim->schedule_in(wait, fire);
@@ -53,7 +52,9 @@ void ComputeNode::schedule_attack() {
       on_phase = double(phase) <
                  cfg->pulse_duty * double(cfg->pulse_period);
     }
-    if (on_phase) inject_attack();
+    // A refused injection parks the process: a source rule holds for the
+    // rest of the run, so every later attempt would be refused too.
+    if (on_phase && !inject_attack()) return;
     schedule_attack();
   };
   static_assert(netsim::InlineAction::is_trivial<decltype(fire)>);
@@ -78,23 +79,16 @@ pkt::Packet ComputeNode::make_packet(NodeId dest, pkt::IpProto proto,
   return p;
 }
 
-bool ComputeNode::blocked_at_source(NodeId dest) {
-  if (env_->admit(id_, dest)) return false;
-  // The refused packet still consumes its flow id, as it did when the
-  // switch refused it after it was built.
-  ++next_flow_;
-  return true;
-}
-
-void ComputeNode::inject_benign() {
+bool ComputeNode::inject_benign() {
   const NodeId dest = env_->pattern->pick_dest(id_, rng_);
-  if (blocked_at_source(dest)) return;
+  if (!env_->admit(id_, dest)) return false;
   pkt::Packet p = make_packet(dest, pkt::IpProto::kUdp,
                               pkt::TrafficClass::kBenign, env_->benign_payload);
   if (env_->inject(std::move(p), id_)) ++env_->metrics->injected_benign;
+  return true;
 }
 
-void ComputeNode::inject_attack() {
+bool ComputeNode::inject_attack() {
   const auto* a = env_->attack;
   NodeId dest = a->victim;
   pkt::IpProto proto = pkt::IpProto::kUdp;
@@ -130,19 +124,13 @@ void ComputeNode::inject_attack() {
       break;
     }
     case attack::AttackKind::kNone:
-      return;
+      return true;
   }
   // Reflection only works with the victim's address in the source field.
   const auto spoof = a->kind == attack::AttackKind::kReflector
                          ? attack::SpoofStrategy::kVictimReflect
                          : a->spoof;
-  if (blocked_at_source(dest)) {
-    // No packet is built, but the spoofing draw is still made, so this
-    // node's stream is where the refused packet would have left it.
-    (void)attack::spoofed_source(spoof, *env_->addresses, id_, a->victim,
-                                 rng_);
-    return;
-  }
+  if (!env_->admit(id_, dest)) return false;
   pkt::Packet p = make_packet(dest, proto, traffic, a->payload_bytes);
   // SYN floods are streams of fresh connection openers (each flow id is
   // unique from make_packet, so every SYN pins its own backlog slot).
@@ -152,6 +140,7 @@ void ComputeNode::inject_attack() {
   }
   attack::apply_spoof(p, spoof, *env_->addresses, id_, a->victim, rng_);
   if (env_->inject(std::move(p), id_)) ++env_->metrics->injected_attack;
+  return true;
 }
 
 void ComputeNode::receive(pkt::Packet&& packet) {

@@ -8,6 +8,11 @@
 // second-generation description (§1): a scan hitting a clean node infects
 // it after an incubation delay, after which it scans too — traffic grows
 // with the infected population.
+//
+// Blocked sources park. A source rule (BlockingFilter::block_source_node)
+// holds for the rest of the run, so a process whose injection the network
+// refuses stops rescheduling: a blocked node costs no further events. Each
+// process parks at its own first refusal; nothing resumes it.
 #pragma once
 
 #include <functional>
@@ -34,8 +39,7 @@ class ComputeNode {
     Metrics* metrics = nullptr;
     /// The network's injection boundary for a packet from `at` to `dest`,
     /// asked before the packet is built: false if the source is blocked
-    /// (counted there). A refused node makes the draws its packet would
-    /// have made and builds nothing.
+    /// (counted there). The refused process builds nothing and parks.
     std::function<bool(NodeId at, NodeId dest)> admit;
     /// Hands an admitted packet to the local switch; returns false if
     /// ingress filtering drops it.
@@ -60,7 +64,8 @@ class ComputeNode {
   /// Delivery from the local switch.
   void receive(pkt::Packet&& packet);
 
-  /// Worm state transitions (driven by the network).
+  /// Worm state transitions (driven by the network). Infecting a blocked
+  /// node arms its scan process, which parks at its first refusal.
   bool infected() const noexcept { return infected_; }
   void infect();
 
@@ -71,11 +76,10 @@ class ComputeNode {
   bool is_zombie() const;
   void schedule_benign();
   void schedule_attack();
-  void inject_benign();
-  void inject_attack();
-  /// Asks Env::admit about a packet to `dest`; on a refusal, consumes the
-  /// refused packet's flow id and returns true.
-  bool blocked_at_source(NodeId dest);
+  /// One injection attempt; false if the source is blocked, which parks
+  /// the calling process.
+  bool inject_benign();
+  bool inject_attack();
   pkt::Packet make_packet(NodeId dest, pkt::IpProto proto,
                           pkt::TrafficClass traffic, std::uint32_t payload);
 

@@ -1,5 +1,6 @@
 #include "cluster/switch.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace ddpm::cluster {
@@ -34,9 +35,16 @@ Switch::Switch(NodeId id, Env* env, netsim::Rng rng)
       env_(env),
       rng_(rng),
       ports_(std::size_t(env->topo->num_ports())) {
+  // A port's FIFO holds up to queue_capacity waiting packets, the one
+  // serializing, and those still propagating. Serializations start at
+  // least min_tx apart, and all but the oldest of the propagating ones
+  // started within the last `latency` ticks.
+  const auto min_tx = netsim::SimTime(std::ceil(
+      double(pkt::IpHeader::kWireSize) / env_->link_bandwidth));
+  const netsim::SimTime tx_floor = std::max<netsim::SimTime>(min_tx, 1);
+  const std::size_t on_wire = 2 + std::size_t(env_->link_latency / tx_floor);
   for (OutputPort& port : ports_) {
-    port.queue.reserve(env_->queue_capacity);
-    port.in_flight.reserve(env_->queue_capacity);
+    port.fifo.reserve(env_->queue_capacity + on_wire);
   }
   // Labels are a function of the topology alone; the owning network builds
   // them once and shares them (hoisted out of this ctor, which used to
@@ -78,7 +86,9 @@ DDPM_HOT void Switch::handle(PacketHandle h, Port arrived_on) {
     return;
   }
   OutputPort& out = ports_[std::size_t(*port)];
-  if (out.queue.size() >= env_->queue_capacity) {
+  const netsim::SimTime now = env_->sim->now();
+  const std::size_t queued = out.waiting(now);
+  if (queued >= env_->queue_capacity) {
     env_->packets->release(h);
     ++env_->metrics->dropped_queue_full;
     probes_.on_drop_queue_full(env_->tracer, id_);
@@ -91,45 +101,42 @@ DDPM_HOT void Switch::handle(PacketHandle h, Port arrived_on) {
   }
   ++packet.hops;
   if (!packet.trace.empty()) packet.trace.push_back(next);
-  out.queue.push_back(PacketHandle(h));
-  probes_.on_forward(out.queue.size());
-  start_transmission(*port);
-}
+  // Depth seen by the packet, itself included (1 on an idle port).
+  probes_.on_forward(queued + 1);
 
-DDPM_HOT void Switch::start_transmission(Port port) {
-  OutputPort& out = ports_[std::size_t(port)];
-  if (out.busy || out.queue.empty()) return;
-  out.busy = true;
-  const PacketHandle h = out.queue.front();
-  out.queue.pop_front();
-  const std::uint32_t wire_bytes = (*env_->packets)[h].wire_bytes();
+  const std::uint32_t wire_bytes = packet.wire_bytes();
   const auto tx_ticks = netsim::SimTime(
       // Floating-point divide (bandwidth scaling), not an integer one;
       // the textual frontend cannot type-check the operands.
       std::ceil(double(wire_bytes) / env_->link_bandwidth));  // ddpm-analyze: allow(hot-no-div)
-  // The span covers serialization + propagation; both durations are known
-  // at schedule time, so one complete event suffices (no open/close pair).
-  probes_.on_tx(env_->tracer, id_, std::size_t(port), wire_bytes, tx_ticks,
-                env_->sim->now(),
-                env_->sim->now() + tx_ticks + env_->link_latency);
-  // Link frees up after serialization; the packet lands after propagation.
-  auto link_free = [this, port]() {
-    ports_[std::size_t(port)].busy = false;
-    start_transmission(port);
-  };
-  auto arrive = [this, port]() { land(port); };
-  // Both captures are byte-copyable: moving them costs no indirect call.
-  static_assert(netsim::InlineAction::is_trivial<decltype(link_free)> &&
-                netsim::InlineAction::is_trivial<decltype(arrive)>);
-  env_->sim->schedule_in(tx_ticks, link_free);
-  out.in_flight.push_back(PacketHandle(h));
-  env_->sim->schedule_in(tx_ticks + env_->link_latency, arrive);
+  const netsim::SimTime start = std::max(now, out.free_at);
+  out.free_at = start + tx_ticks;
+  const netsim::SimTime arrive = out.free_at + env_->link_latency;
+  // The span covers serialization + propagation; both are known now, so one
+  // complete event suffices (no open/close pair). It may start in the
+  // future: the tracer orders events by time when it flushes.
+  probes_.on_tx(env_->tracer, id_, std::size_t(*port), wire_bytes, tx_ticks,
+                start, arrive);
+  const bool idle = out.fifo.empty();
+  DDPM_DCHECK(out.fifo.size() < out.fifo.capacity(),
+              "output FIFO outgrew its reserved bound");
+  out.fifo.push_back({start, arrive, PacketHandle(h)});
+  if (idle) schedule_land(*port, arrive);
+}
+
+DDPM_HOT void Switch::schedule_land(Port port, netsim::SimTime arrive) {
+  auto land_head = [this, port]() { land(port); };
+  // Byte-copyable capture: moving it costs no indirect call.
+  static_assert(netsim::InlineAction::is_trivial<decltype(land_head)>);
+  env_->sim->schedule_at(arrive, land_head);
 }
 
 DDPM_HOT void Switch::land(Port port) {
   OutputPort& out = ports_[std::size_t(port)];
-  const PacketHandle h = out.in_flight.front();
-  out.in_flight.pop_front();
+  const PacketHandle h = out.fifo.front().handle;
+  out.fifo.pop_front();
+  if (out.started > 0) --out.started;
+  if (!out.fifo.empty()) schedule_land(port, out.fifo.front().arrive);
   env_->switches[env_->table->next_node(id_, port)].handle(
       h, env_->table->reverse_port(id_, port));
 }

@@ -7,11 +7,20 @@
 // each output link serializes one packet at a time at the configured
 // bandwidth and delivers it to the neighbor after the link latency.
 //
+// One event per hop. Serialization is FIFO at a fixed rate and the latency
+// is constant, so a packet's whole schedule is known when it is enqueued:
+// it starts once the link frees (`start = max(now, free_at)`), and lands
+// `tx + latency` after that. Each output port keeps those stamps in one
+// FIFO and a single pending arrival event for the FIFO's head; landing the
+// head schedules the next one. The link's free time is a timestamp, not an
+// event. The queue adaptive routing and the queue-full drop read is the
+// FIFO's entries that have not started serializing yet (start > now).
+//
 // Per-hop processing order matches walk_packet (walk.hpp) and Figure 4:
 // route -> decrement TTL -> mark with (current, next).
 //
 // A packet lives in one slot of the network-wide packet slab from inject()
-// to delivery or drop; output queues and links carry its 4-byte handle.
+// to delivery or drop; output FIFOs carry its 4-byte handle.
 // Neighbor, reverse-port and coordinate lookups read the topology's flat
 // LinkTable rather than its virtual interface.
 #pragma once
@@ -85,32 +94,49 @@ class Switch {
   /// toward the sender, or route::kLocalPort): deliver, drop or enqueue.
   void handle(PacketHandle h, Port arrived_on);
 
-  /// Output-queue occupancy, the congestion signal adaptive routing reads.
+  /// Output-queue occupancy: packets waiting for the link, not counting
+  /// the one serializing. The congestion signal adaptive routing reads.
   std::size_t queue_length(Port port) const noexcept {
     if (port < 0 || std::size_t(port) >= ports_.size()) return 0;
-    return ports_[std::size_t(port)].queue.size();
+    return ports_[std::size_t(port)].waiting(env_->sim->now());
   }
 
   NodeId id() const noexcept { return id_; }
 
  private:
-  struct DDPM_HOT_STATE OutputPort {
-    /// Bounded by Env::queue_capacity and reserved to it at construction,
-    /// so steady-state enqueue/dequeue never touches the allocator.
-    core::RingBuffer<PacketHandle> queue;
-    /// Serialized onto the link, still propagating. Arrival events complete
-    /// strictly in transmission order (serialization is sequential and the
-    /// latency constant), so a FIFO here lets the arrival event capture
-    /// just [this, port] — the capture stays inside InlineAction's inline
-    /// buffer.
-    core::RingBuffer<PacketHandle> in_flight;
-    bool busy = false;
+  /// One packet committed to a link: it serializes from `start` and
+  /// reaches the neighbor at `arrive`.
+  struct Transmission {
+    netsim::SimTime start = 0;
+    netsim::SimTime arrive = 0;
+    PacketHandle handle = 0;
   };
-  DDPM_HOT_LAYOUT(OutputPort, 88, 8);
 
-  void start_transmission(Port port);
-  /// The packet at the head of `port`'s in-flight FIFO reaches the
-  /// neighbor switch.
+  struct DDPM_HOT_STATE OutputPort {
+    /// Every packet enqueued on this link that has not landed yet, in
+    /// transmission order: waiting, serializing, then propagating. Both
+    /// stamps rise along it. Reserved at construction to the most that can
+    /// coexist, so steady state never touches the allocator.
+    core::RingBuffer<Transmission> fifo;
+    /// When the link finishes serializing the last enqueued packet.
+    netsim::SimTime free_at = 0;
+    /// Leading FIFO entries known to have started serializing; waiting()
+    /// advances it lazily, land() pops from it.
+    mutable std::size_t started = 0;
+
+    /// Entries that have not started serializing at `now`.
+    std::size_t waiting(netsim::SimTime now) const noexcept {
+      while (started < fifo.size() && fifo.nth(started).start <= now) {
+        ++started;
+      }
+      return fifo.size() - started;
+    }
+  };
+  DDPM_HOT_LAYOUT(OutputPort, 56, 8);
+
+  /// Schedules `port`'s one pending arrival event, for its FIFO head.
+  void schedule_land(Port port, netsim::SimTime arrive);
+  /// The head of `port`'s FIFO reaches the neighbor switch.
   void land(Port port);
 
   NodeId id_;

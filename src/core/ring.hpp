@@ -49,6 +49,14 @@ class RingBuffer {
     return slots_[head_];
   }
 
+  /// The element `i` places behind the front (0 is front()).
+  const T& nth(std::size_t i) const {
+    DDPM_DCHECK(i < count_, "nth() past the back of the ring");
+    std::size_t idx = head_ + i;
+    if (idx >= slots_.size()) idx -= slots_.size();
+    return slots_[idx];
+  }
+
   void push_back(T&& value) {
     if (count_ == slots_.size()) grow(count_ == 0 ? 4 : count_ * 2);
     std::size_t tail = head_ + count_;

@@ -35,7 +35,9 @@ class BlockingFilter {
 
   /// Block packets injected at this node (requires source-switch
   /// enforcement; DDPM makes the node identifiable). Throws
-  /// std::invalid_argument if `node` is not a node of the topology.
+  /// std::invalid_argument if `node` is not a node of the topology. The
+  /// rule holds for the rest of a cluster run: the node's traffic
+  /// processes park at their first refused injection and never resume.
   void block_source_node(topo::NodeId node) {
     if (node >= num_nodes_) {
       throw std::invalid_argument(
@@ -69,6 +71,8 @@ class BlockingFilter {
            addresses_.count(packet.header.source()) != 0;
   }
 
+  /// Drops every rule. Node processes a source rule already parked stay
+  /// parked; clear between runs, not during one.
   void clear() {
     std::fill(node_bits_.begin(), node_bits_.end(), 0);
     node_rules_ = 0;

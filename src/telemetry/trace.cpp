@@ -103,12 +103,20 @@ void Tracer::flush(std::ostream& out) const {
     write_json_string(out, name);
     out << "}}";
   }
-  // Chronological replay: the oldest retained event sits at `next_` once
-  // the ring has wrapped.
+  // Recording order first (the oldest retained event sits at `next_` once
+  // the ring has wrapped), then a stable sort by timestamp.
   const std::size_t count = retained();
   const std::size_t start = wrapped_ ? next_ : 0;
+  std::vector<const Event*> order;
+  order.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const Event& e = ring_[(start + i) % capacity_];
+    order.push_back(&ring_[(start + i) % capacity_]);
+  }
+  std::stable_sort(
+      order.begin(), order.end(),
+      [](const Event* a, const Event* b) { return a->ts < b->ts; });
+  for (const Event* event : order) {
+    const Event& e = *event;
     comma();
     out << "{\"name\": \"" << e.name << "\", \"ph\": \"" << e.phase
         << "\", \"ts\": " << e.ts << ", \"pid\": " << e.pid

@@ -4,9 +4,11 @@
 //
 // Timestamps come from the owning simulator's clock (register it with
 // set_clock); one simulation tick renders as one microsecond, so a 50-tick
-// link hop reads as 50 µs on the timeline. Events append in nondecreasing
-// ts order because the simulators' clocks are monotonic; the ring buffer
-// overwrites the OLDEST events when full (the tail of a run is usually the
+// link hop reads as 50 µs on the timeline. Events need not be recorded in
+// ts order (a link-transmission span is recorded when its packet is
+// enqueued, and may start later); flush() emits the retained events sorted
+// by ts, recording order breaking ties. The ring buffer overwrites the
+// OLDEST-recorded events when full (the tail of a run is usually the
 // interesting part of a DDoS timeline) and counts what it dropped.
 //
 // Hot-path cost: every recording call starts with the `enabled_` test, and
@@ -64,7 +66,8 @@ class Tracer {
   std::uint64_t recorded() const noexcept { return recorded_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// Renders the retained events as one Chrome trace JSON object.
+  /// Renders the retained events as one Chrome trace JSON object, in
+  /// nondecreasing ts order (stable: recording order breaks ties).
   void flush(std::ostream& out) const;
   /// flush() into a string (tests, small traces).
   std::string flush_to_string() const;

@@ -116,6 +116,106 @@ TEST(Cluster, SourceBlockRefusesInjection) {
   EXPECT_TRUE(net.inject(make_packet(net, 6, 3), 6));
 }
 
+// A source rule holds for the rest of the run, so each refused node process
+// parks: with every node blocked, the network goes quiet for good.
+TEST(Cluster, BlockedProcessesParkAndScheduleNothing) {
+  ClusterConfig config = quiet_config();
+  config.benign_rate_per_node = 0.002;
+  ClusterNetwork net(config);
+  attack::AttackConfig attack;
+  attack.kind = attack::AttackKind::kUdpFlood;
+  attack.victim = 15;
+  attack.zombies = {5, 6};
+  attack.rate_per_zombie = 0.02;
+  attack.start_time = 1000;
+  net.set_attack(attack);
+  const auto nodes = net.topology().num_nodes();
+  for (topo::NodeId n = 0; n < nodes; ++n) net.filter().block_source_node(n);
+  net.start();
+  net.run_until(50000);
+  // One benign process per node and one attack process per zombie, each
+  // refused once.
+  EXPECT_EQ(net.metrics().blocked_at_source, std::uint64_t(nodes) + 2);
+  EXPECT_EQ(net.metrics().injected(), 0u);
+  EXPECT_EQ(net.sim().pending_count(), 0u);
+  const std::uint64_t executed = net.sim().events_executed();
+  net.run_until(500000);
+  EXPECT_EQ(net.sim().events_executed(), executed);
+  EXPECT_EQ(net.sim().pending_count(), 0u);
+  EXPECT_EQ(net.metrics().blocked_at_source, std::uint64_t(nodes) + 2);
+}
+
+TEST(Cluster, BlockedZombieParksWhileOthersKeepInjecting) {
+  ClusterConfig config = quiet_config();
+  config.benign_rate_per_node = 0.002;
+  ClusterNetwork net(config);
+  attack::AttackConfig attack;
+  attack.kind = attack::AttackKind::kUdpFlood;
+  attack.victim = 15;
+  attack.zombies = {5};
+  attack.rate_per_zombie = 0.02;
+  attack.start_time = 1000;
+  net.set_attack(attack);
+  std::uint64_t from_zombie = 0;
+  net.set_delivery_hook([&](const pkt::Packet& p, topo::NodeId) {
+    from_zombie += p.true_source == 5;
+  });
+  net.start();
+  net.run_until(20000);
+  EXPECT_GT(from_zombie, 0u);
+  net.filter().block_source_node(5);
+  net.run_until(40000);
+  // The zombie's benign and attack processes each parked at one refusal.
+  EXPECT_EQ(net.metrics().blocked_at_source, 2u);
+  const std::uint64_t benign = net.metrics().injected_benign;
+  const std::uint64_t attack_packets = net.metrics().injected_attack;
+  const std::uint64_t zombie_deliveries = from_zombie;
+  // Everything the zombie injected before the block has landed by now.
+  net.run_until(400000);
+  EXPECT_EQ(net.metrics().blocked_at_source, 2u);
+  EXPECT_EQ(net.metrics().injected_attack, attack_packets);
+  EXPECT_EQ(from_zombie, zombie_deliveries);
+  // The other 15 nodes keep injecting at about 0.002 per tick each.
+  EXPECT_GT(net.metrics().injected_benign, benign + 8000);
+}
+
+// One event per hop: a port stamps each packet's start and arrival at
+// enqueue and keeps one arrival event pending, for the head of its FIFO.
+TEST(Cluster, PortSerializesSameTickPacketsBackToBack) {
+  ClusterNetwork net(quiet_config());
+  const topo::LinkTable& table = net.topology().link_table();
+  topo::Port port = -1;
+  for (topo::Port p = 0; p < net.topology().num_ports(); ++p) {
+    if (table.next_node(0, p) == 1) port = p;
+  }
+  ASSERT_GE(port, 0);
+  std::vector<netsim::SimTime> landed;
+  net.set_delivery_hook([&](const pkt::Packet& p, topo::NodeId at) {
+    EXPECT_EQ(at, 1u);
+    landed.push_back(p.delivered_at);
+  });
+  net.start();
+  // 80 payload bytes: 100 on the wire, tx = 100 ticks at 1 B/tick; L = 50.
+  ASSERT_TRUE(net.inject(make_packet(net, 0, 1, 80), 0));
+  ASSERT_TRUE(net.inject(make_packet(net, 0, 1, 80), 0));
+  // The first serializes from tick 0; the second waits for the link.
+  EXPECT_EQ(net.queue_length(0, port), 1u);
+  EXPECT_EQ(net.sim().pending_count(), 1u);
+  net.run_until(99);
+  EXPECT_EQ(net.queue_length(0, port), 1u);
+  net.run_until(100);
+  EXPECT_EQ(net.queue_length(0, port), 0u);
+  EXPECT_EQ(net.sim().pending_count(), 1u);
+  net.run_until(150);
+  EXPECT_EQ(landed, (std::vector<netsim::SimTime>{150}));
+  // Landing the head scheduled the next one's arrival, and only that.
+  EXPECT_EQ(net.sim().pending_count(), 1u);
+  net.run_until(1000);
+  EXPECT_EQ(landed, (std::vector<netsim::SimTime>{150, 250}));
+  EXPECT_EQ(net.sim().pending_count(), 0u);
+  EXPECT_EQ(net.sim().events_executed(), 2u);
+}
+
 TEST(Cluster, SignatureFilterSuppressesDelivery) {
   ClusterConfig config = quiet_config();
   config.scheme = "none";  // keep the field exactly as injected

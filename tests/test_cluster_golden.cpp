@@ -129,21 +129,21 @@ TEST_P(ClusterGolden, DigestMatches) {
 }
 
 const Cell kCells[] = {
-    {"mesh:6x6", "dor", {}, false, 0x4c6fbe1d80be6accULL},
-    {"mesh:6x6", "adaptive", {}, false, 0x421be23bafc781bfULL},
-    {"mesh:6x6", "adaptive-misroute", {}, false, 0x421be23bafc781bfULL},
-    {"torus:5x5", "dor", {}, false, 0x3f33f46581ea9fa1ULL},
-    {"torus:5x5", "adaptive", {}, false, 0xd38fc1a942db0cdcULL},
-    {"torus:5x5", "adaptive-misroute", {}, false, 0xd38fc1a942db0cdcULL},
-    {"hypercube:5", "dor", {}, false, 0x3bc4083481e10df6ULL},
-    {"hypercube:5", "adaptive", {}, false, 0x17ae6021b4f4eb8dULL},
-    {"hypercube:5", "adaptive-misroute", {}, false, 0x17ae6021b4f4eb8dULL},
+    {"mesh:6x6", "dor", {}, false, 0x886215f99a00920bULL},
+    {"mesh:6x6", "adaptive", {}, false, 0xf75c3ecdb7c85f02ULL},
+    {"mesh:6x6", "adaptive-misroute", {}, false, 0xf75c3ecdb7c85f02ULL},
+    {"torus:5x5", "dor", {}, false, 0x0fc562d2089afd59ULL},
+    {"torus:5x5", "adaptive", {}, false, 0xba01a6f431386322ULL},
+    {"torus:5x5", "adaptive-misroute", {}, false, 0xba01a6f431386322ULL},
+    {"hypercube:5", "dor", {}, false, 0x34cf5f636b1eb9d8ULL},
+    {"hypercube:5", "adaptive", {}, false, 0xdda544725c208191ULL},
+    {"hypercube:5", "adaptive-misroute", {}, false, 0xdda544725c208191ULL},
     // Failed links: no-route drops under DOR-like blocking and misroutes
     // around the holes.
     {"mesh:6x6", "adaptive-misroute", {{13, 14}, {8, 14}, {1, 7}}, false,
-     0x887629efbf40ad5dULL},
+     0xd026fa138571df2fULL},
     // Per-hop traces ride in the digest.
-    {"torus:5x5", "adaptive", {}, true, 0xfb91aa8b7309f169ULL},
+    {"torus:5x5", "adaptive", {}, true, 0x5cbebf8edb8b57e4ULL},
 };
 
 std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {

@@ -2,26 +2,31 @@
 //
 // test_cluster_golden.cpp pins the switch fabric, but none of its cells
 // ever installs a block, so nothing there pins what a blocked source does:
-// which random draws it still makes, how its flow counter advances, and
-// how often `blocked_at_source` is bumped. These cells run the whole
-// SourceIdentificationSystem with auto_block on, one per attack kind and
-// spoofing strategy, and digest every Metrics counter, the detection time,
-// each identification, and the report's outcome counters. A change that
-// alters the draw sequence of a blocked node — or anything downstream of
-// it — changes a digest.
+// its benign and attack processes park at their first refusal (no further
+// draws or events), so `blocked_at_source` reads at most two per blocked
+// node. These cells run the whole SourceIdentificationSystem with
+// auto_block on, one per attack kind and spoofing strategy, and digest
+// every Metrics counter, the detection time, each identification, and the
+// report's outcome counters. A change that lets a blocked node draw or fire
+// again — or alters anything downstream of it — changes a digest.
 //
 // Every delivered packet (id, node, claimed source, protocol, flags, flow
-// id, delivery time, marking field) rides in the digest too. A blocked
-// node's own packets never arrive, so its flow counter shows only once the
-// block is lifted: two cells clear the filter late in the run. The
-// reflector never sends to the victim and would never block on its own; it
-// and the worm also block a zombie at a fixed time through the filter.
+// id, delivery time, marking field) rides in the digest too. Two cells
+// clear the filter late in the run: a source rule holds for the rest of the
+// run, so the clear resumes no parked process. The reflector never sends to
+// the victim and would never block on its own; it and the worm also block a
+// zombie at a fixed time through the filter.
+//
+// IdentifiesExactlyTheAttackers checks the identifications themselves,
+// independent of the digest and of how same-tick events are ordered.
 //
 // Regenerate only for an intended behaviour change: the failure message
 // prints the observed digest of each cell.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <ostream>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -74,6 +79,10 @@ struct Cell {
 struct Outcome {
   std::uint64_t digest = 0;
   std::uint64_t blocked_at_source = 0;
+  std::set<topo::NodeId> true_sources;
+  std::set<topo::NodeId> identified_sources;
+  /// Nodes infected by the end of the run (worm cells only).
+  std::set<topo::NodeId> infected;
 };
 
 Outcome run_cell(const Cell& cell) {
@@ -151,12 +160,20 @@ Outcome run_cell(const Cell& cell) {
   fnv.add(report.attack_delivered_after_block);
   fnv.add(report.packets_to_first_identification);
   fnv.add(std::uint64_t(net.infected_count()));
-  return {fnv.value(), m.blocked_at_source};
+  Outcome outcome{fnv.value(), m.blocked_at_source, report.true_sources,
+                  report.identified_sources, {}};
+  for (topo::NodeId n = 0; n < net.topology().num_nodes(); ++n) {
+    if (net.node_infected(n)) outcome.infected.insert(n);
+  }
+  return outcome;
 }
 
 void PrintTo(const Cell& cell, std::ostream* os) { *os << cell.name; }
 
 class SisGolden : public ::testing::TestWithParam<Cell> {};
+
+using attack::AttackKind;
+using attack::SpoofStrategy;
 
 TEST_P(SisGolden, DigestMatches) {
   const Cell& cell = GetParam();
@@ -167,24 +184,51 @@ TEST_P(SisGolden, DigestMatches) {
       << cell.name << ": observed digest 0x" << std::hex << got.digest;
 }
 
-using attack::AttackKind;
-using attack::SpoofStrategy;
+// Digest-independent evidence: whatever order same-tick events take, no
+// cell names an innocent node, and every flood cell names all its zombies.
+TEST_P(SisGolden, IdentifiesExactlyTheAttackers) {
+  const Cell& cell = GetParam();
+  const Outcome got = run_cell(cell);
+  switch (cell.kind) {
+    case AttackKind::kReflector:
+      // Reflectors, not the zombies, answer the spoofed SYNs: the victim
+      // receives no attack packet from a zombie, so nobody is named.
+      EXPECT_TRUE(got.identified_sources.empty()) << cell.name;
+      break;
+    case AttackKind::kWorm:
+      // Scanning reaches the victim from every infected node, so each
+      // named node must be infected; the patient zeros are among them.
+      for (const topo::NodeId n : got.identified_sources) {
+        EXPECT_EQ(got.infected.count(n), 1u) << cell.name << ": node " << n;
+      }
+      EXPECT_TRUE(std::includes(got.infected.begin(), got.infected.end(),
+                                got.true_sources.begin(),
+                                got.true_sources.end()))
+          << cell.name;
+      break;
+    default:
+      EXPECT_EQ(got.identified_sources, got.true_sources) << cell.name;
+      break;
+  }
+}
 
 const Cell kCells[] = {
     {"udp_flood_spoof_none", AttackKind::kUdpFlood, SpoofStrategy::kNone, 0,
-     0, 0, 0, 0xcba3340a44c49e55ULL},
+     0, 0, 0, 0x2ced26dcd81176f6ULL},
     {"udp_flood_spoof_random_cluster", AttackKind::kUdpFlood,
-     SpoofStrategy::kRandomCluster, 0, 0, 0, 110000, 0x8c4f02dfadab8b39ULL},
+     SpoofStrategy::kRandomCluster, 0, 0, 0, 110000, 0x0cf2f4109c068d2aULL},
     {"udp_flood_spoof_random_any", AttackKind::kUdpFlood,
-     SpoofStrategy::kRandomAny, 0, 0, 0, 110000, 0x2d143e24a144388cULL},
+     SpoofStrategy::kRandomAny, 0, 0, 0, 110000, 0xcdd29f9f43d79513ULL},
     {"syn_flood", AttackKind::kSynFlood, SpoofStrategy::kRandomCluster, 0, 0,
-     0, 0, 0x5b091ec9af7eae86ULL},
+     0, 0, 0xb86db4dcb8921324ULL},
     {"reflector", AttackKind::kReflector, SpoofStrategy::kRandomCluster, 0, 9,
-     60000, 0, 0x05b72a2e559bd8afULL},
+     60000, 0, 0x9400ed65c33e20ceULL},
     {"worm", AttackKind::kWorm, SpoofStrategy::kRandomCluster, 0, 16, 60000,
-     0, 0x87c056d74db20ebaULL},
+     0, 0xc183141a9c81c0d6ULL},
+    // Every zombie is blocked inside the first on-phase and parks there, so
+    // this run matches udp_flood_spoof_random_cluster event for event.
     {"pulsing_udp_flood", AttackKind::kUdpFlood, SpoofStrategy::kRandomCluster,
-     8000, 0, 0, 0, 0xfd16e0b2e6284820ULL},
+     8000, 0, 0, 0, 0x0cf2f4109c068d2aULL},
 };
 
 std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {

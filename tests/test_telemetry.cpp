@@ -241,6 +241,25 @@ TEST(Tracer, RingDropsOldestAndCounts) {
   EXPECT_NE(json.find("\"dropped\": 6"), std::string::npos);
 }
 
+TEST(Tracer, FlushEmitsEventsInTimeOrder) {
+  Tracer tracer;
+  std::uint64_t clock = 100;
+  tracer.set_clock(&clock);
+  // A span recorded now that starts later (a queued link transmission),
+  // then two events at the current clock.
+  tracer.complete("later", kPidCluster, 0, 300, 450);
+  tracer.instant("first", kPidCluster, 0);
+  tracer.instant("second", kPidCluster, 0);
+  const std::string json = tracer.flush_to_string();
+  const auto first = json.find("\"first\"");
+  const auto second = json.find("\"second\"");
+  const auto later = json.find("\"later\"");
+  ASSERT_NE(later, std::string::npos);
+  // Sorted by ts; recording order breaks the tie at ts 100.
+  EXPECT_LT(first, second);
+  EXPECT_LT(second, later);
+}
+
 TEST(Tracer, DisabledRecordsNothing) {
   Tracer tracer;
   tracer.set_enabled(false);
